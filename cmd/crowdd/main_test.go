@@ -27,7 +27,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (base string, out *lockedBuf
 	out = &lockedBuffer{}
 	addrc := make(chan string, 1)
 	errc := make(chan error, 1)
-	args := append([]string{"-addr", "127.0.0.1:0", "-bin-debounce", "1ms"}, extraArgs...)
+	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	go func() { errc <- run(ctx, args, out, func(addr string) { addrc <- addr }) }()
 	select {
 	case addr := <-addrc:
@@ -129,18 +129,37 @@ func metrics(t *testing.T, base string) map[string]uint64 {
 }
 
 // waitForCounter polls /metrics until the named counter reaches want —
-// uploads are processed asynchronously behind the 202.
+// uploads are processed asynchronously behind the 202 — and returns a
+// scrape only once the next one repeats every counter of the pipeline's
+// flow. One scrape reads the counters one after another, so it can
+// catch a store worker between two increments and tear a conservation
+// law that holds at rest.
 func waitForCounter(t *testing.T, base, name string, want uint64) map[string]uint64 {
 	t.Helper()
+	flow := []string{
+		"crowdd_received_total", "crowdd_decoded_total", "crowdd_evaluated_total",
+		"crowdd_decode_errors_total", "crowdd_estimate_failures_total",
+		"crowdd_aborted_total", "crowdd_stored_total", "crowdd_accepted_total",
+		"crowdd_rejected_total", "crowdd_wal_appended_total", "crowdd_wal_failed_total",
+		"crowdd_store_records", "crowdd_store_accepted_records",
+	}
 	deadline := time.Now().Add(10 * time.Second)
+	var prev map[string]uint64
 	for {
 		m := metrics(t, base)
-		if m[name] >= want {
-			return m
+		if m[name] >= want && prev != nil {
+			stable := true
+			for _, k := range flow {
+				stable = stable && m[k] == prev[k]
+			}
+			if stable {
+				return m
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s stuck at %d, want %d", name, m[name], want)
+			t.Fatalf("%s at %d, want %d with two agreeing scrapes", name, m[name], want)
 		}
+		prev = m
 		time.Sleep(5 * time.Millisecond)
 	}
 }

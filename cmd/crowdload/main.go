@@ -497,14 +497,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	for _, name := range modelNames {
-		// With a single-model population the accepted delta bounds that
-		// model's bins; a mix can't attribute the global counter, so it
-		// prints whatever has settled.
-		want := 0
-		if len(modelNames) == 1 {
-			want = int(accepted)
-		}
-		if err := printBins(client, stdout, binsNode, name, want); err != nil {
+		if err := printBins(client, stdout, binsNode, name); err != nil {
 			return err
 		}
 	}
@@ -771,52 +764,40 @@ func fetchMetrics(client *http.Client, addr string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// printBins waits for the debounced binning loop to settle over the full
-// accepted population, then prints the cached bins for the model.
-func printBins(client *http.Client, stdout io.Writer, addr, model string, wantAccepted int) error {
-	type modelBins struct {
-		Model     string    `json:"model"`
-		Accepted  int       `json:"accepted"`
-		BinCount  int       `json:"bin_count"`
-		Centroids []float64 `json:"centroids"`
-		Sizes     []int     `json:"sizes"`
-		Slope     float64   `json:"ambient_slope_per_c"`
+// printBins prints the model's bins. It reads once: it runs after the
+// drain (standalone) or the convergence check (cluster), and the server
+// serves bins folded from sketches every commit keeps current, so the
+// read already counts every stored submission.
+func printBins(client *http.Client, stdout io.Writer, addr, model string) error {
+	resp, err := client.Get(addr + "/v1/bins?model=" + url.QueryEscape(model))
+	if err != nil {
+		return err
 	}
-	fetch := func() (*modelBins, error) {
-		resp, err := client.Get(addr + "/v1/bins")
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		var bins struct {
-			Models []modelBins `json:"models"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&bins); err != nil {
-			return nil, err
-		}
-		for _, mb := range bins.Models {
-			if mb.Model == model {
-				return &mb, nil
-			}
-		}
-		return nil, nil
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		fmt.Fprintf(stdout, "no bins for %s: the server stored none of its submissions\n", model)
+		return nil
 	}
-	var mb *modelBins
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var err error
-		if mb, err = fetch(); err != nil {
-			return err
-		}
-		if mb != nil && mb.Accepted >= wantAccepted {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintln(stdout, "bins not settled yet (server still debouncing)")
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET bins for %s: HTTP %d", model, resp.StatusCode)
 	}
+	var bins struct {
+		Models []struct {
+			Model     string    `json:"model"`
+			Accepted  int       `json:"accepted"`
+			BinCount  int       `json:"bin_count"`
+			Centroids []float64 `json:"centroids"`
+			Sizes     []int     `json:"sizes"`
+			Slope     float64   `json:"ambient_slope_per_c"`
+		} `json:"models"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&bins); err != nil {
+		return err
+	}
+	if len(bins.Models) != 1 {
+		return fmt.Errorf("GET bins for %s: %d entries, want 1", model, len(bins.Models))
+	}
+	mb := bins.Models[0]
 	fmt.Fprintf(stdout, "bins for %s: %d bins over %d accepted (slope %.1f score/°C)\n",
 		mb.Model, mb.BinCount, mb.Accepted, mb.Slope)
 	for i, c := range mb.Centroids {

@@ -17,7 +17,7 @@ import (
 // fleet, concurrent uploads, drain wait, bin report — against a real
 // backend over HTTP, and asserts its own zero-drop guarantee held.
 func TestLoadAgainstRealBackend(t *testing.T) {
-	srv, err := server.New(server.Config{BinDebounce: time.Millisecond})
+	srv, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

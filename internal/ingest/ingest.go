@@ -8,8 +8,8 @@
 //	evaluate — estimate the ambient from the cooldown trace (Aitken
 //	           extrapolation via crowd.Policy) and apply the strict filters
 //	store    — commit the verdict (WAL append + fsync first, when
-//	           durability is configured), land it in the sharded store
-//	           and notify the binning loop
+//	           durability is configured) and land it in the sharded
+//	           store, whose commit also updates the model's sketch
 //
 // Each stage runs its own worker pool; an upload occupies exactly one
 // worker per stage, so slow evaluation of one submission never blocks
@@ -67,10 +67,6 @@ type Config struct {
 	// instead of stored directly. This is the append-before-store commit
 	// point: a record is never visible without being durable.
 	WAL Committer
-	// OnStored, when non-nil, is called after each record lands, with the
-	// record's model — the binning loop's dirty trigger. It must be safe
-	// for concurrent use and fast (it runs on store workers).
-	OnStored func(model string)
 	// Obs is the metrics registry the pipeline's counters and per-stage
 	// latency histograms register in. Nil gets a private registry, so
 	// the pipeline is always instrumented; pass the service's registry
@@ -541,9 +537,6 @@ func (p *Pipeline) storeWorker() {
 			p.ctr.rejected.Inc()
 		}
 		p.ctr.stored.Inc()
-		if p.cfg.OnStored != nil {
-			p.cfg.OnStored(rec.Model)
-		}
 		dur := time.Since(t0)
 		p.storeDur.Observe(dur.Seconds())
 		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "store", Device: rec.Device, Model: rec.Model, Seq: rec.Seq}, t0, dur)

@@ -135,7 +135,6 @@ func seedBenchCorpus(t *testing.T, corpus int) *store.Store {
 func benchBinsRead(t *testing.T, st *store.Store, mode string, iters int) float64 {
 	t.Helper()
 	b := server.NewBinner(server.BinnerConfig{Store: st, Mode: mode})
-	defer b.Stop()
 	const model = "bench-model-00"
 	// Warm once so allocation of cold caches is not in the measurement.
 	b.Refresh(model)

@@ -2,32 +2,28 @@ package server
 
 import (
 	"math"
-	"time"
 
 	"accubench/internal/cluster"
 	"accubench/internal/stats"
 )
 
-// sketchBins serves one model's bins from the store's population sketch
-// — the BinModeSketch read path. The fold is cached per model and keyed
-// by the store's sketch revision: a read whose revision still matches is
-// a pure cache hit, and the first read after any commit for the model
-// re-folds O(cells), never O(corpus). Served bins are always current
-// (refreshedAt is the serve time), so the cluster's max-staleness escape
-// hatch never triggers a recompute in this mode.
+// sketchBins serves one model's bins from the store's population sketch.
+// The fold is cached per model and keyed by the store's sketch revision:
+// a read whose revision still matches is a pure cache hit, and the first
+// read after any commit for the model re-folds O(cells), never
+// O(corpus).
 func (b *Binner) sketchBins(model string) (ModelBins, bool) {
 	rev, ok := b.store.SketchRevision(model)
 	if !ok {
 		return ModelBins{}, false
 	}
-	b.sketchMu.Lock()
-	cached, hit := b.sketchCache[model]
-	b.sketchMu.Unlock()
+	b.mu.Lock()
+	cached, hit := b.cache[model]
+	b.mu.Unlock()
 	if hit && cached.Revision == rev {
 		if b.sketchHits != nil {
 			b.sketchHits.Inc()
 		}
-		cached.refreshedAt = time.Now()
 		return cached, true
 	}
 
@@ -37,32 +33,30 @@ func (b *Binner) sketchBins(model string) (ModelBins, bool) {
 	}
 	mb := binsFromSketch(model, sk, b.maxK)
 	mb.Revision = rev
-	mb.refreshedAt = time.Now()
 	b.recomputes.Add(1)
 	if b.sketchFolds != nil {
 		b.sketchFolds.Inc()
 	}
 
-	b.sketchMu.Lock()
-	old, hadOld := b.sketchCache[model]
+	b.mu.Lock()
+	old, hadOld := b.cache[model]
 	// Concurrent reads race to fill the cache; the highest revision wins
 	// so a slow fold never clobbers a fresher one.
 	published := !hadOld || old.Revision <= mb.Revision
 	if published {
-		b.sketchCache[model] = mb
+		b.cache[model] = mb
 	} else {
 		mb = old
 	}
-	b.sketchMu.Unlock()
+	b.mu.Unlock()
 	if published {
 		b.noteDrift(old, hadOld, mb)
 	}
-	mb.refreshedAt = time.Now()
 	return mb, true
 }
 
 // binsFromSketch clusters a population sketch into ModelBins — the
-// sketch-path mirror of Binner.recompute, operating on weighted cell
+// sketch-path mirror of exactBins, operating on weighted cell
 // representatives instead of raw records. Same shape: fit the ambient
 // slope (AmbientFit applies the exact path's identifiability gate),
 // normalize every cell's score to the 26 °C reference, then cluster with

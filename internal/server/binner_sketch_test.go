@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"accubench/internal/crowd"
 	"accubench/internal/obs"
@@ -17,6 +16,7 @@ import (
 	"accubench/internal/store"
 	"accubench/internal/testkit"
 	"accubench/internal/units"
+	"accubench/internal/wire"
 )
 
 // seedPopulation writes a §VI-style crowd into the store: per model, a
@@ -79,10 +79,8 @@ func TestSketchBinsMatchExactGolden(t *testing.T) {
 	st := store.New(8)
 	accepted := seedPopulation(t, st, models, bins, slope, 40, 41)
 
-	exact := server.NewBinner(server.BinnerConfig{Store: st})
-	defer exact.Stop()
+	exact := server.NewBinner(server.BinnerConfig{Store: st, Mode: server.BinModeExact})
 	sketch := server.NewBinner(server.BinnerConfig{Store: st, Mode: server.BinModeSketch})
-	defer sketch.Stop()
 
 	for mi, model := range models {
 		em := exact.Refresh(model)
@@ -114,47 +112,77 @@ func TestSketchBinsMatchExactGolden(t *testing.T) {
 	}
 }
 
-// TestSketchBinsFreshWithoutDebounce pins sketch mode's headline
-// behavior end-to-end: with the exact loop's debounce cranked to an
-// hour, a sketch-mode server still serves every committed submission on
-// the very next bins read — no background loop in the path.
-func TestSketchBinsFreshWithoutDebounce(t *testing.T) {
-	srv, base := startStandalone(t, func(c *server.Config) {
-		c.BinMode = server.BinModeSketch
-		c.BinDebounce = time.Hour
-	})
-	client := &http.Client{}
-	policy := crowd.DefaultPolicy()
+// getModelBins reads GET /v1/bins?model=M once, with no retry.
+func getModelBins(t *testing.T, client *http.Client, base, model string) server.ModelBins {
+	t.Helper()
+	mb, ok := fetchModelBins(t, client, base, model)
+	if !ok {
+		t.Fatalf("GET /v1/bins?model=%s: no bins", model)
+	}
+	return mb
+}
 
-	const n = 8
-	for i := 0; i < n; i++ {
-		raw := testkit.AcceptedPayload(t, policy, fmt.Sprintf("fresh-%d", i), 1000+10*float64(i), 25)
-		resp := postSubmission(t, client, base, raw)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submission %d: status %d", i, resp.StatusCode)
+// TestStreamAckBinsFresh pins the freshness contract on the standalone
+// stream path: once a /v1/stream batch is acknowledged, the very next
+// GET /v1/bins?model=M counts it — no polling, no sleep.
+func TestStreamAckBinsFresh(t *testing.T) {
+	_, base := startStandalone(t)
+	client := &http.Client{}
+	st, err := wire.OpenStream(client, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	total := 0
+	for b, size := range []int{5, 1, 3} {
+		batch := make([]wire.Submission, size)
+		for i := range batch {
+			batch[i] = wireAccepted(t, fmt.Sprintf("fresh-%d-%d", b, i), 1000+40*float64(total+i))
+		}
+		ack, err := st.Do(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(ack.Committed) != size {
+			t.Fatalf("batch %d ack = %+v, want %d committed", b, ack, size)
+		}
+		total += size
+		mb := getModelBins(t, client, base, "Nexus 5")
+		if mb.Submissions != total || mb.Accepted != total {
+			t.Fatalf("after batch %d: bins count %d submissions / %d accepted, want %d", b, mb.Submissions, mb.Accepted, total)
 		}
 	}
-	waitForStored(t, client, base, n)
+}
 
-	mb, ok := srv.Binner().ModelBins("Nexus 5")
-	if !ok {
-		t.Fatal("no bins immediately after commit")
+// TestBinsModelQueryFoldsOnlyThatModel pins that GET /v1/bins?model=M
+// folds M's sketch alone: with three freshly committed models, one
+// filtered read moves the fold counter by exactly one.
+func TestBinsModelQueryFoldsOnlyThatModel(t *testing.T) {
+	_, base := startStandalone(t)
+	client := &http.Client{}
+	st, err := wire.OpenStream(client, base, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mb.Accepted != n {
-		t.Fatalf("Accepted = %d immediately after commit, want %d (sketch mode must not wait for a debounce)", mb.Accepted, n)
+	defer st.Close()
+	var batch []wire.Submission
+	for _, model := range []string{"Nexus 5", "Nexus 6", "Pixel"} {
+		for i := 0; i < 4; i++ {
+			ws := wireAccepted(t, fmt.Sprintf("%s-%d", model, i), 1000+40*float64(i))
+			ws.Model = model
+			batch = append(batch, ws)
+		}
 	}
-	if srv.Binner().Mode() != server.BinModeSketch {
-		t.Fatalf("Mode = %q, want sketch", srv.Binner().Mode())
+	if ack, err := st.Do(batch); err != nil || int(ack.Committed) != len(batch) {
+		t.Fatalf("ack = %+v, %v; want %d committed", ack, err, len(batch))
 	}
 
-	// One more submission must be visible on the next read too.
-	raw := testkit.AcceptedPayload(t, policy, "fresh-extra", 1200, 25)
-	if resp := postSubmission(t, client, base, raw); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("extra submission: status %d", resp.StatusCode)
-	}
-	waitForStored(t, client, base, n+1)
-	if mb, _ := srv.Binner().ModelBins("Nexus 5"); mb.Accepted != n+1 {
-		t.Fatalf("Accepted = %d after extra commit, want %d", mb.Accepted, n+1)
+	const folds = "crowdd_bins_sketch_recomputes_total"
+	before := scrapeMetrics(t, client, base)[folds]
+	getModelBins(t, client, base, "Nexus 6")
+	if got := scrapeMetrics(t, client, base)[folds] - before; got != 1 {
+		t.Errorf("one ?model= read folded %d sketches, want 1", got)
 	}
 }
 
@@ -221,7 +249,6 @@ func TestDriftGaugesExposed(t *testing.T) {
 	st := store.New(4)
 	reg := obs.NewRegistry("crowdd_")
 	b := server.NewBinner(server.BinnerConfig{Store: st, Obs: reg})
-	defer b.Stop()
 
 	put := func(dev string, score float64) {
 		t.Helper()
@@ -269,16 +296,15 @@ func TestDriftGaugesExposed(t *testing.T) {
 	}
 }
 
-// TestBinsSortedCacheReused pins the Bins() satellite: repeated reads
-// between recomputes reuse one sorted snapshot (same backing identity
-// is not observable, so assert behavior: order correct, mutation of the
-// returned slice does not leak into later reads).
-func TestBinsSortedCacheReused(t *testing.T) {
+// TestBinsSortedByModel pins the unfiltered listing GET /v1/bins serves:
+// every model, sorted by name, in a slice the caller owns, and a model
+// whose first record was just committed shows up on the next read.
+func TestBinsSortedByModel(t *testing.T) {
 	st := store.New(4)
 	b := server.NewBinner(server.BinnerConfig{Store: st})
-	defer b.Stop()
-	for _, model := range []string{"zeta", "alpha", "mid"} {
-		for i := 0; i < 4; i++ {
+	put := func(model string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
 			if _, err := st.Put(store.Record{
 				Device: fmt.Sprintf("%s-%d", model, i), Model: model,
 				Score: 1000, EstimatedAmbient: 25, Accepted: true,
@@ -286,27 +312,26 @@ func TestBinsSortedCacheReused(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b.Refresh(model)
+	}
+	for _, model := range []string{"zeta", "alpha", "mid"} {
+		put(model, 4)
 	}
 	first := b.Bins()
 	want := []string{"alpha", "mid", "zeta"}
+	if len(first) != len(want) {
+		t.Fatalf("Bins() = %v, want models %v", first, want)
+	}
 	for i, mb := range first {
 		if mb.Model != want[i] {
 			t.Fatalf("Bins()[%d] = %s, want %s", i, mb.Model, want[i])
 		}
 	}
 	first[0].Model = "clobbered"
-	second := b.Bins()
-	if second[0].Model != "alpha" {
-		t.Fatal("mutating a returned Bins() slice leaked into the cache")
+	if second := b.Bins(); second[0].Model != "alpha" {
+		t.Fatal("mutating a returned Bins() slice leaked into the next read")
 	}
-	// After a recompute the cache refreshes and the new model appears.
-	if _, err := st.Put(store.Record{Device: "new-0", Model: "aaa", Score: 1000, EstimatedAmbient: 25, Accepted: true}); err != nil {
-		t.Fatal(err)
-	}
-	b.Refresh("aaa")
-	third := b.Bins()
-	if len(third) != 4 || third[0].Model != "aaa" {
-		t.Fatalf("Bins() after recompute = %v", third)
+	put("aaa", 1)
+	if third := b.Bins(); len(third) != 4 || third[0].Model != "aaa" || third[0].Accepted != 1 {
+		t.Fatalf("Bins() after a new model's commit = %v", third)
 	}
 }

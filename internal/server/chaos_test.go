@@ -114,7 +114,7 @@ func assertClusterConverged(t *testing.T, client *http.Client, nodes []*clusterN
 		ok := true
 		var first server.ModelBins
 		for i, node := range nodes {
-			mb, _, served := fetchModelBins(t, client, node.url, "Nexus 5")
+			mb, served := fetchModelBins(t, client, node.url, "Nexus 5")
 			if !served {
 				ok = false
 				break

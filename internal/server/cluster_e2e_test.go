@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -88,7 +87,6 @@ func startCluster(t *testing.T, n int, mut func(i int, cfg *server.Config)) []*c
 			}
 		}
 		cfg := server.Config{
-			BinDebounce: time.Millisecond,
 			Cluster: &server.ClusterConfig{
 				NodeID:            ids[i],
 				Peers:             peers,
@@ -140,9 +138,10 @@ func postAccepted(t *testing.T, client *http.Client, node *clusterNode, device s
 }
 
 type digestEntry struct {
-	Records int    `json:"records"`
-	Digest  uint64 `json:"digest"`
-	MaxWall int64  `json:"max_hlc_wall"`
+	Records      int    `json:"records"`
+	Digest       uint64 `json:"digest"`
+	MaxWall      int64  `json:"max_hlc_wall"`
+	SketchDigest uint64 `json:"sketch_digest"`
 }
 
 func fetchDigest(t *testing.T, client *http.Client, base string) (map[string]digestEntry, error) {
@@ -186,16 +185,15 @@ func waitConverged(t *testing.T, client *http.Client, nodes []*clusterNode, wind
 	}
 }
 
-func fetchModelBins(t *testing.T, client *http.Client, base, model string) (server.ModelBins, string, bool) {
+func fetchModelBins(t *testing.T, client *http.Client, base, model string) (server.ModelBins, bool) {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/bins?model=" + url.QueryEscape(model))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := resp.Header.Get("X-Bins-Staleness-Ms")
 	if resp.StatusCode != http.StatusOK {
 		drainBody(t, resp)
-		return server.ModelBins{}, stale, false
+		return server.ModelBins{}, false
 	}
 	var out struct {
 		Models []server.ModelBins `json:"models"`
@@ -205,17 +203,16 @@ func fetchModelBins(t *testing.T, client *http.Client, base, model string) (serv
 	}
 	resp.Body.Close()
 	if len(out.Models) == 0 {
-		return server.ModelBins{}, stale, false
+		return server.ModelBins{}, false
 	}
-	return out.Models[0], stale, true
+	return out.Models[0], true
 }
 
 // binKey is the portion of a bins reply that must be bit-identical on
 // every replica: population, discovered bins, centroids, sizes, slope.
-// Revision and age legitimately differ per node.
+// Revision legitimately differs per node.
 func binKey(mb server.ModelBins) string {
 	mb.Revision = 0
-	mb.AgeMS = 0
 	b, _ := json.Marshal(mb)
 	return string(b)
 }
@@ -273,8 +270,8 @@ func TestClusterReplicatesAndSurvivesKill(t *testing.T) {
 	// Bit-identical bins on the survivors once the binners settle.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		a, _, okA := fetchModelBins(t, client, survivors[0].url, "Nexus 5")
-		b, _, okB := fetchModelBins(t, client, survivors[1].url, "Nexus 5")
+		a, okA := fetchModelBins(t, client, survivors[0].url, "Nexus 5")
+		b, okB := fetchModelBins(t, client, survivors[1].url, "Nexus 5")
 		if okA && okB && a.Submissions == len(acked) && binKey(a) == binKey(b) {
 			if a.BinCount == 0 {
 				t.Fatalf("converged bins discovered no clusters over %d devices", a.Accepted)
@@ -355,40 +352,47 @@ func TestClusterRedirectRouting(t *testing.T) {
 	waitConverged(t, client, nodes, 10*time.Second)
 }
 
-// TestClusterBinsStalenessBound pins the replica read contract: with
-// -max-staleness set, a served bins entry is never older than the bound
-// — an over-age cache recomputes before the response is written.
-func TestClusterBinsStalenessBound(t *testing.T) {
-	const bound = 75 * time.Millisecond
-	nodes := startCluster(t, 2, func(i int, cfg *server.Config) {
-		cfg.Cluster.MaxStaleness = bound
-		// A long debounce would leave the cache stale for seconds without
-		// the serve-time bound; the test relies on the bound alone.
-		cfg.BinDebounce = 10 * time.Millisecond
-	})
+// TestClusterBinsFreshAtDigestMatch pins the replica read contract: a
+// node's bins lag the cluster only by replication. After the model's
+// primary acknowledges a submission, every other node's bins count it
+// as soon as that node's /v1/digest entry for the model equals the
+// primary's.
+func TestClusterBinsFreshAtDigestMatch(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
+	const model = "Nexus 5"
+	var primary *clusterNode
+	for _, node := range nodes {
+		if node.id == nodes[0].srv.Replicator().Primary(model) {
+			primary = node
+		}
+	}
 
 	for i := 0; i < 6; i++ {
-		postAccepted(t, client, nodes[0], fmt.Sprintf("stale-%d", i), 1000+float64(i)*30)
-	}
-	waitConverged(t, client, nodes, 10*time.Second)
-
-	for _, node := range nodes {
-		// Let the cached bins age well past the bound, then read.
-		time.Sleep(3 * bound)
-		mb, stale, ok := fetchModelBins(t, client, node.url, "Nexus 5")
-		if !ok {
-			t.Fatalf("no bins served on %s", node.id)
-		}
-		if mb.AgeMS > bound.Milliseconds() {
-			t.Errorf("%s served bins aged %dms, staleness bound is %dms", node.id, mb.AgeMS, bound.Milliseconds())
-		}
-		n, err := strconv.ParseInt(stale, 10, 64)
+		postAccepted(t, client, primary, fmt.Sprintf("fresh-%d", i), 1000+float64(i)*30)
+		want, err := fetchDigest(t, client, primary.url)
 		if err != nil {
-			t.Fatalf("%s X-Bins-Staleness-Ms = %q: %v", node.id, stale, err)
+			t.Fatal(err)
 		}
-		if n > bound.Milliseconds() {
-			t.Errorf("%s staleness header %dms exceeds bound %dms", node.id, n, bound.Milliseconds())
+		for _, node := range nodes {
+			if node == primary {
+				continue
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				d, err := fetchDigest(t, client, node.url)
+				if err == nil && d[model] == want[model] {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s digest for %s never reached %+v: %+v (%v)", node.id, model, want[model], d[model], err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			mb, ok := fetchModelBins(t, client, node.url, model)
+			if !ok || mb.Submissions != i+1 || mb.Accepted != i+1 {
+				t.Fatalf("%s at the primary's digest serves %+v (ok=%v), want %d submissions", node.id, mb, ok, i+1)
+			}
 		}
 	}
 }

@@ -90,7 +90,6 @@ func TestBackpressureDeterministic(t *testing.T) {
 		Workers:       1,
 		QueueDepth:    1,
 		SubmitTimeout: 50 * time.Millisecond,
-		BinDebounce:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestBackpressureDeterministic(t *testing.T) {
 // device, and the malformed corpus. Asserts verdict lookups, bins, and
 // the /metrics conservation laws after a graceful drain.
 func TestE2ESubmissionsToBins(t *testing.T) {
-	srv, err := server.New(server.Config{BinDebounce: time.Millisecond})
+	srv, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 	}
 	drainBody(t, resp)
 
-	// Bins: Close ran a final recompute, so the cache covers the full
+	// Bins: Close drained the pipeline, so the bins cover the full
 	// accepted population.
 	resp, err = client.Get(ts.URL + "/v1/bins?model=Nexus+5")
 	if err != nil {
@@ -300,8 +299,8 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 	drainBody(t, resp)
 }
 
-// stableBins is the /v1/bins payload minus Revision (a per-process
-// recompute counter that legitimately differs across restarts).
+// stableBins is the /v1/bins payload minus Revision (a node-local store
+// revision that legitimately differs across nodes and restarts).
 type stableBins struct {
 	Model        string    `json:"model"`
 	Submissions  int       `json:"submissions"`
@@ -312,8 +311,8 @@ type stableBins struct {
 	Sizes        []int     `json:"sizes"`
 }
 
-// fetchBins returns the stable bins for one model, or nil before the
-// binner has covered it.
+// fetchBins returns the stable bins for one model, or nil when the
+// server holds no record for it.
 func fetchBins(t *testing.T, client *http.Client, base, model string) *stableBins {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/bins")
@@ -334,7 +333,8 @@ func fetchBins(t *testing.T, client *http.Client, base, model string) *stableBin
 	return nil
 }
 
-// waitForBins polls until the model's bins cover wantAccepted devices.
+// waitForBins polls until the model's bins cover wantAccepted devices —
+// for reads after a JSON 202, which only means "enqueued".
 func waitForBins(t *testing.T, client *http.Client, base, model string, wantAccepted int) *stableBins {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -390,10 +390,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	boot := func() *server.Server {
 		// FsyncEvery 0 = synchronous commits: every 202'd-and-stored
 		// submission is durable the moment the counter moves.
-		srv, err := server.New(server.Config{
-			DataDir:     dir,
-			BinDebounce: time.Millisecond,
-		})
+		srv, err := server.New(server.Config{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,16 +445,16 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("recovered store diverged from pre-crash state:\n got %+v\nwant %+v", got, wantStore)
 	}
 
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	srv2.Start(ctx2)
+	// Recovery rebuilt the sketches: the first bins read after New, with
+	// nothing started and nothing submitted since, matches pre-crash.
 	ts2 := httptest.NewServer(srv2.Handler())
 	client2 := ts2.Client()
-
-	// The binner re-primed from the recovered store: bins match pre-crash.
-	gotBins := waitForBins(t, client2, ts2.URL, "Nexus 5", accepted)
+	gotBins := fetchBins(t, client2, ts2.URL, "Nexus 5")
 	if !reflect.DeepEqual(gotBins, wantBins) {
 		t.Fatalf("recovered bins diverged:\n got %+v\nwant %+v", gotBins, wantBins)
 	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	srv2.Start(ctx2)
 
 	// The black-box surfaces agree: healthz narrates the recovery, metrics
 	// keep the conservation laws with the restored leg.
@@ -564,7 +561,6 @@ func TestTraceSpansE2E(t *testing.T) {
 	var buf bytes.Buffer
 	srv, err := server.New(server.Config{
 		DataDir:     t.TempDir(),
-		BinDebounce: time.Millisecond,
 		TraceWriter: &buf,
 	})
 	if err != nil {
@@ -636,7 +632,7 @@ func TestTraceSpansE2E(t *testing.T) {
 func TestGracefulShutdownSnapshotsE2E(t *testing.T) {
 	dir := t.TempDir()
 	policy := crowd.DefaultPolicy()
-	srv, err := server.New(server.Config{DataDir: dir, BinDebounce: time.Millisecond})
+	srv, err := server.New(server.Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

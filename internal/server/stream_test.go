@@ -37,7 +37,7 @@ func wireAccepted(t *testing.T, device string, score float64) wire.Submission {
 // startStandalone boots one in-memory server on an httptest listener.
 func startStandalone(t *testing.T, mut ...func(*server.Config)) (*server.Server, string) {
 	t.Helper()
-	cfg := server.Config{BinDebounce: time.Millisecond}
+	var cfg server.Config
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -260,7 +260,8 @@ func TestStreamJSONCompatBitIdentical(t *testing.T) {
 	st.Close()
 
 	jsonBins := waitForBins(t, client, jsonBase, "Nexus 5", n)
-	wireBins := waitForBins(t, client, wireBase, "Nexus 5", n)
+	// The wire ack means committed: no wait before reading its bins.
+	wireBins := fetchBins(t, client, wireBase, "Nexus 5")
 	if !reflect.DeepEqual(jsonBins, wireBins) {
 		t.Errorf("bins diverge across transports:\njson %+v\nwire %+v", jsonBins, wireBins)
 	}
