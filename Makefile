@@ -8,7 +8,7 @@ FUZZTIME ?= 5s
 # Minimum acceptable total statement coverage, in percent.
 COVER_FLOOR ?= 75
 
-.PHONY: build test vet race race-repl chaos-smoke fuzz-smoke cover godoc-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
+.PHONY: build test vet fmt-check race race-repl chaos-smoke fuzz-smoke cover godoc-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any tracked Go file. It lists
+# tracked files only, so the module cache the benchmark keeps under
+# .bench_build/ is never scanned.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The whole tree races in ci: the service packages have load-bearing
 # concurrency, and the simulator must stay race-free for StudyParallel.
@@ -112,10 +119,10 @@ bench-smoke:
 		-bench '^(BenchmarkDeviceStep|BenchmarkThermalStep|BenchmarkTableII|BenchmarkFleetStep)$$' \
 		-benchmem -benchtime 10x .
 
-# ci is the full gate: vet, tier-1 build+test, the race pass over the
-# whole tree, the chaos scenario matrix, the fuzz smoke, the bench
-# smoke, then the documentation checks.
-ci: vet build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check links-check
+# ci is the full gate: vet, formatting, tier-1 build+test, the race pass
+# over the whole tree, the chaos scenario matrix, the fuzz smoke, the
+# bench smoke, then the documentation checks.
+ci: vet fmt-check build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check links-check
 
 # demo starts crowdd, fires a 200-device load at it, prints the bins and
 # shuts the server down.

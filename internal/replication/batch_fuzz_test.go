@@ -10,9 +10,9 @@ import (
 // FuzzBatchDecode fuzzes the /v1/replicate body decoder — the surface
 // every byte of peer traffic crosses. DecodeBatch must never panic,
 // everything it accepts must carry only stamped, fully-identified
-// records (ApplyRemote stores accepted batches without re-checking
-// identity), and accepted bodies must round-trip through json.Marshal
-// to an equal batch.
+// records (the same check ApplyRemote makes before it reserves a key),
+// and accepted bodies must round-trip through json.Marshal to an equal
+// batch.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`{"from":"n1","records":[{"device":"unit-1","model":"Nexus 5","score":1500,"estimated_ambient":25,"accepted":true,"hlc_wall":1700000000000,"hlc_logical":3,"origin":"n1"}]}`))
 	f.Add([]byte(`{"from":"n2","records":[]}`))

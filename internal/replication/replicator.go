@@ -40,8 +40,8 @@ const (
 	shipRetries = 3
 )
 
-// ErrNoAck is returned by ShipWait when no replica acknowledged the
-// record within the ack timeout.
+// ErrNoAck is returned by ShipWaitBatch when some record of the batch
+// had no replica acknowledgement within the ack timeout.
 var ErrNoAck = errors.New("replication: no replica acknowledged within the ack timeout")
 
 // Batch is the wire form of one /v1/replicate POST: records shipped
@@ -82,9 +82,12 @@ type Config struct {
 	// Store is the node's record store, used for digests and reconcile
 	// pulls.
 	Store *store.Store
-	// Apply durably commits one remote record locally — the node's
-	// WAL-backed commit path. It must assign the local sequence number.
-	Apply func(*store.Record) error
+	// Apply durably commits a batch of remote records locally — the
+	// node's WAL-backed commit path, one group append for the whole
+	// batch. It must assign each record's local sequence number, and
+	// commit all of the batch or none of it: ApplyRemote releases every
+	// key of a batch whose Apply failed, so a retry can claim them again.
+	Apply func([]*store.Record) error
 	// AckTimeout, ShipInterval, ReconcileInterval, SnapshotGap override
 	// the defaults when positive.
 	AckTimeout        time.Duration
@@ -218,67 +221,38 @@ func (r *Replicator) replicaTargets(model string) []*shipper {
 	return out
 }
 
-// Ship enqueues a committed record to its replica set without waiting
-// for acknowledgement.
-func (r *Replicator) Ship(rec store.Record) {
-	for _, sh := range r.replicaTargets(rec.Model) {
-		sh.enqueue(rec, nil)
-	}
-}
-
-// ShipWait enqueues a committed record to its replica set and blocks
-// until at least one replica acknowledges it or the ack timeout runs
-// out (ErrNoAck). With no replica targets — a single-node cluster —
-// it returns nil at once: local durability is the whole story.
-func (r *Replicator) ShipWait(rec store.Record) error {
-	targets := r.replicaTargets(rec.Model)
-	if len(targets) == 0 {
-		return nil
-	}
-	start := time.Now()
-	ack := make(chan struct{}, len(targets))
-	for _, sh := range targets {
-		sh.enqueue(rec, ack)
-	}
-	timer := time.NewTimer(r.cfg.AckTimeout)
-	defer timer.Stop()
-	select {
-	case <-ack:
-		r.met.AckWait.Observe(time.Since(start).Seconds())
-		return nil
-	case <-timer.C:
-		r.met.AckTimeouts.Inc()
-		return ErrNoAck
-	case <-r.stop:
-		return ErrNoAck
-	}
-}
-
 // ShipWaitBatch enqueues a whole committed batch to its replica sets
 // and blocks until every record has at least one replica
 // acknowledgement or the single shared ack timeout runs out (ErrNoAck).
-// The per-peer shippers coalesce the enqueues into one replication POST
-// per peer in practice, so a 256-record stream batch costs the same
-// wire round trips as one ShipWait. Records whose replica set is empty
-// (single-node cluster) are durable locally and need no ack.
+// Each target peer receives its share of the batch as one enqueue, so
+// its shipper wakes to the whole share and POSTs it in one replication
+// batch (up to batchMax records): a 256-record stream batch costs one
+// round trip and one replica group commit per peer. Records whose
+// replica set is empty (single-node cluster) are durable locally and
+// need no ack.
 func (r *Replicator) ShipWaitBatch(recs []store.Record) error {
 	start := time.Now()
 	acks := make([]chan struct{}, len(recs))
-	waiting := 0
+	var shares map[*shipper][]shipItem
 	for i := range recs {
 		targets := r.replicaTargets(recs[i].Model)
 		if len(targets) == 0 {
 			continue
 		}
+		if shares == nil {
+			shares = make(map[*shipper][]shipItem, len(r.shippers))
+		}
 		ack := make(chan struct{}, len(targets))
 		for _, sh := range targets {
-			sh.enqueue(recs[i], ack)
+			shares[sh] = append(shares[sh], shipItem{rec: recs[i], ack: ack, enq: start})
 		}
 		acks[i] = ack
-		waiting++
 	}
-	if waiting == 0 {
+	if shares == nil {
 		return nil
+	}
+	for sh, items := range shares {
+		sh.enqueue(items)
 	}
 	timer := time.NewTimer(r.cfg.AckTimeout)
 	defer timer.Stop()
@@ -299,36 +273,55 @@ func (r *Replicator) ShipWaitBatch(recs []store.Record) error {
 	return nil
 }
 
-// ApplyRemote merges a peer's records into this node: each stamp is
-// folded into the local clock, each record is claimed exactly once
-// (Reserve) and committed through the local durable path with a fresh
-// local sequence number. Safe to call with records this node already
-// holds — replays and reconcile races collapse into dups.
+// ApplyRemote merges a peer's records into this node as one durable
+// commit. It checks every record first, as DecodeBatch does, so one bad
+// record anywhere refuses the whole batch with nothing reserved or
+// logged. It then folds each stamp into the local clock, claims each
+// record exactly once (Reserve), and commits the new ones through one
+// Apply call — one WAL group append — with fresh local sequence
+// numbers. If Apply fails, every key it reserved is released and
+// nothing counts as applied. Safe to call with records this node
+// already holds: replays and reconcile races collapse into dups.
+//
+// The whole batch runs under applyGate, commit included: a concurrent
+// apply that answers "dup" for a record must mean the first apply has
+// already made it durable, because a shipper takes that answer as a
+// replica acknowledgement.
 func (r *Replicator) ApplyRemote(recs []store.Record) (ApplyResult, error) {
+	if err := checkRecords(recs); err != nil {
+		return ApplyResult{}, err
+	}
 	r.applyGate.Lock()
 	defer r.applyGate.Unlock()
 	var res ApplyResult
+	fresh := make([]store.Record, 0, len(recs))
 	for _, rec := range recs {
-		key, ok := rec.Key()
-		if !ok {
-			// Unstamped records cannot be identified across nodes;
-			// refuse rather than double-apply.
-			return res, fmt.Errorf("replication: unstamped record for device %q", rec.Device)
-		}
 		r.cfg.Clock.Update(rec.Stamp())
+		key, _ := rec.Key()
 		if !r.cfg.Store.Reserve(rec.Model, key) {
 			res.Dups++
 			r.met.ApplyDups.Inc()
 			continue
 		}
 		rec.Seq = 0
-		if err := r.cfg.Apply(&rec); err != nil {
-			r.cfg.Store.Release(rec.Model, key)
-			return res, err
-		}
-		res.Applied++
-		r.met.Applied.Inc()
+		fresh = append(fresh, rec)
 	}
+	if len(fresh) == 0 {
+		return res, nil
+	}
+	ptrs := make([]*store.Record, len(fresh))
+	for i := range fresh {
+		ptrs[i] = &fresh[i]
+	}
+	if err := r.cfg.Apply(ptrs); err != nil {
+		for _, rec := range fresh {
+			key, _ := rec.Key()
+			r.cfg.Store.Release(rec.Model, key)
+		}
+		return res, err
+	}
+	res.Applied = len(fresh)
+	r.met.Applied.Add(uint64(len(fresh)))
 	return res, nil
 }
 
@@ -368,7 +361,9 @@ func (r *Replicator) reconcileLoop() {
 // sides converge without any push coordination.
 func (r *Replicator) reconcilePeer(id, base string) error {
 	var remote map[string]store.ModelDigest
-	if err := r.getJSON(base+"/v1/digest", &remote); err != nil {
+	if err := r.get(base+"/v1/digest", func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&remote)
+	}); err != nil {
 		return err
 	}
 	local := r.cfg.Store.DigestAll()
@@ -398,16 +393,23 @@ func (r *Replicator) reconcilePeer(id, base string) error {
 
 // pullModel fetches a peer's full state for one model — snapshot
 // shipping — and merges it, returning how many records were new here.
+// The dump crosses the same trust boundary as a shipped batch, so it is
+// decoded with DecodeBatch.
 func (r *Replicator) pullModel(base, model string) (int, error) {
 	var batch Batch
-	if err := r.getJSON(base+"/v1/replicate?model="+url.QueryEscape(model), &batch); err != nil {
+	if err := r.get(base+"/v1/replicate?model="+url.QueryEscape(model), func(body io.Reader) error {
+		var err error
+		batch, err = DecodeBatch(body)
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	res, err := r.ApplyRemote(batch.Records)
 	return res.Applied, err
 }
 
-func (r *Replicator) getJSON(u string, out any) error {
+// get issues a GET to a peer and hands a 200 response's body to decode.
+func (r *Replicator) get(u string, decode func(io.Reader) error) error {
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
 		return err
@@ -421,10 +423,11 @@ func (r *Replicator) getJSON(u string, out any) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("GET %s: %s", u, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(resp.Body)
 }
 
-// shipItem is one queued record plus an optional shared ack channel.
+// shipItem is one queued record plus the ack channel it shares with its
+// other replica targets.
 type shipItem struct {
 	rec store.Record
 	ack chan<- struct{}
@@ -457,16 +460,18 @@ func newShipper(r *Replicator, peerID, base string) *shipper {
 	}
 }
 
-func (s *shipper) enqueue(rec store.Record, ack chan<- struct{}) {
+// enqueue appends one batch's share for this peer under a single lock
+// and sends a single notify, so the loop never wakes between the
+// share's records and splits it across two POSTs.
+func (s *shipper) enqueue(items []shipItem) {
 	s.mu.Lock()
-	if len(s.buf) >= maxQueue {
-		s.mu.Unlock()
+	if room := maxQueue - len(s.buf); len(items) > room {
 		// A peer this far behind is anti-entropy's problem, not the
-		// ingest path's: drop and count.
-		s.r.met.ShipDropped.Inc()
-		return
+		// ingest path's: drop the newest records and count them.
+		s.r.met.ShipDropped.Add(uint64(len(items) - room))
+		items = items[:room]
 	}
-	s.buf = append(s.buf, shipItem{rec: rec, ack: ack, enq: time.Now()})
+	s.buf = append(s.buf, items...)
 	s.pending.Set(int64(len(s.buf)))
 	s.mu.Unlock()
 	select {

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,8 +15,8 @@ import (
 )
 
 // newNode builds a Replicator around a fresh store whose Apply path is
-// a plain store.Put — the durable-commit seam the server fills with its
-// WAL in production.
+// a plain store.Put per record — the durable-commit seam the server
+// fills with its WAL in production.
 func newNode(t *testing.T, id string, peers map[string]string, tweak func(*Config)) (*Replicator, *store.Store) {
 	t.Helper()
 	st := store.New(4)
@@ -24,12 +25,15 @@ func newNode(t *testing.T, id string, peers map[string]string, tweak func(*Confi
 		Peers:  peers,
 		Clock:  hlc.NewClock(nil, 0),
 		Store:  st,
-		Apply: func(rec *store.Record) error {
-			seq, err := st.Put(*rec)
-			if err == nil {
+		Apply: func(recs []*store.Record) error {
+			for _, rec := range recs {
+				seq, err := st.Put(*rec)
+				if err != nil {
+					return err
+				}
 				rec.Seq = seq
 			}
-			return err
+			return nil
 		},
 		ShipInterval:      time.Millisecond,
 		ReconcileInterval: time.Hour, // tests drive ReconcileNow explicitly
@@ -96,8 +100,8 @@ func TestShipWaitAcksAfterReplicaApply(t *testing.T) {
 	if _, err := st.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ShipWait(rec); err != nil {
-		t.Fatalf("ShipWait: %v", err)
+	if err := r.ShipWaitBatch([]store.Record{rec}); err != nil {
+		t.Fatalf("ShipWaitBatch: %v", err)
 	}
 	k, _ := rec.Key()
 	if !peerStore.HasKey(rec.Model, k) {
@@ -120,8 +124,8 @@ func TestShipWaitFailsWithDeadPeer(t *testing.T) {
 
 	rec := store.Record{Device: "d0", Model: "Pixel 2", Score: 1}
 	r.Stamp(&rec)
-	if err := r.ShipWait(rec); err != ErrNoAck {
-		t.Fatalf("ShipWait against a dead peer: %v, want ErrNoAck", err)
+	if err := r.ShipWaitBatch([]store.Record{rec}); err != ErrNoAck {
+		t.Fatalf("ShipWaitBatch against a dead peer: %v, want ErrNoAck", err)
 	}
 	if got := r.met.AckTimeouts.Value(); got != 1 {
 		t.Fatalf("AckTimeouts = %d, want 1", got)
@@ -132,8 +136,8 @@ func TestShipWaitNoPeersIsLocalOnly(t *testing.T) {
 	r, _ := newNode(t, "solo", nil, nil)
 	rec := store.Record{Device: "d0", Model: "Pixel 2"}
 	r.Stamp(&rec)
-	if err := r.ShipWait(rec); err != nil {
-		t.Fatalf("single-node ShipWait: %v", err)
+	if err := r.ShipWaitBatch([]store.Record{rec}); err != nil {
+		t.Fatalf("single-node ShipWaitBatch: %v", err)
 	}
 }
 
@@ -162,6 +166,94 @@ func TestApplyRemoteIsIdempotent(t *testing.T) {
 	}
 	if _, err := r.ApplyRemote([]store.Record{{Device: "x", Model: "m"}}); err == nil {
 		t.Fatal("ApplyRemote accepted an unstamped record")
+	}
+}
+
+// TestApplyRemoteFailedApplyReleasesKeys pins the batch contract's
+// failure path: when the durable commit fails, every key the batch
+// reserved is released and nothing counts as applied, so retrying the
+// same batch applies all of it.
+func TestApplyRemoteFailedApplyReleasesKeys(t *testing.T) {
+	fail := true
+	r, st := newNode(t, "n1", nil, func(c *Config) {
+		commit := c.Apply
+		c.Apply = func(recs []*store.Record) error {
+			if fail {
+				return errors.New("disk full")
+			}
+			return commit(recs)
+		}
+	})
+	batch := []store.Record{
+		stampedRec("n2", 100, 0, "da"),
+		stampedRec("n2", 100, 1, "db"),
+		stampedRec("n2", 101, 0, "dc"),
+	}
+	res, err := r.ApplyRemote(batch)
+	if err == nil || res.Applied != 0 {
+		t.Fatalf("apply through a failing commit: %+v, %v — want an error and nothing applied", res, err)
+	}
+	for _, rec := range batch {
+		k, _ := rec.Key()
+		if st.HasKey(rec.Model, k) {
+			t.Fatalf("failed apply left %s's key reserved", rec.Device)
+		}
+	}
+	if st.Len() != 0 || r.met.Applied.Value() != 0 {
+		t.Fatalf("failed apply stored %d records, counted %d applied", st.Len(), r.met.Applied.Value())
+	}
+
+	fail = false
+	res, err = r.ApplyRemote(batch)
+	if err != nil || res.Applied != len(batch) || res.Dups != 0 {
+		t.Fatalf("retried apply: %+v, %v — want all %d applied", res, err, len(batch))
+	}
+	if st.Len() != len(batch) {
+		t.Fatalf("store holds %d records after the retry, want %d", st.Len(), len(batch))
+	}
+}
+
+// TestApplyRemoteBadRecordCommitsNothing: one record a replica cannot
+// commit, at any position, refuses the whole batch before any key is
+// reserved or any record reaches the commit path.
+func TestApplyRemoteBadRecordCommitsNothing(t *testing.T) {
+	for _, bad := range []struct {
+		name  string
+		spoil func(*store.Record)
+	}{
+		{"unstamped", func(r *store.Record) { r.Origin, r.HLCWall, r.HLCLogical = "", 0, 0 }},
+		{"no model", func(r *store.Record) { r.Model = "" }},
+		{"no device", func(r *store.Record) { r.Device = "" }},
+	} {
+		for pos := 0; pos < 3; pos++ {
+			t.Run(fmt.Sprintf("%s at %d", bad.name, pos), func(t *testing.T) {
+				commits := 0
+				r, st := newNode(t, "n1", nil, func(c *Config) {
+					commit := c.Apply
+					c.Apply = func(recs []*store.Record) error {
+						commits++
+						return commit(recs)
+					}
+				})
+				batch := []store.Record{
+					stampedRec("n2", 100, 0, "da"),
+					stampedRec("n2", 100, 1, "db"),
+					stampedRec("n2", 101, 0, "dc"),
+				}
+				bad.spoil(&batch[pos])
+				if res, err := r.ApplyRemote(batch); err == nil || res.Applied != 0 {
+					t.Fatalf("ApplyRemote = %+v, %v — want the batch refused", res, err)
+				}
+				if commits != 0 || st.Len() != 0 {
+					t.Fatalf("refused batch reached the commit path %d times, store holds %d", commits, st.Len())
+				}
+				for i, rec := range batch {
+					if k, ok := rec.Key(); ok && st.HasKey(rec.Model, k) {
+						t.Fatalf("refused batch reserved record %d's key", i)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -236,7 +328,9 @@ func TestShipperAbandonsToAntiEntropy(t *testing.T) {
 
 	rec := store.Record{Device: "d0", Model: "Pixel 2"}
 	r.Stamp(&rec)
-	r.Ship(rec)
+	// ErrNoAck after the ack timeout: the shipper keeps retrying the
+	// record after its waiter gave up.
+	_ = r.ShipWaitBatch([]store.Record{rec})
 	deadline := time.Now().Add(5 * time.Second)
 	for r.met.ShipDropped.Value() == 0 {
 		if time.Now().After(deadline) {

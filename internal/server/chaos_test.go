@@ -93,20 +93,7 @@ func scrapeQuiescent(t *testing.T, client *http.Client, base string) map[string]
 func assertClusterConverged(t *testing.T, client *http.Client, nodes []*clusterNode, devices []string) {
 	t.Helper()
 	waitConverged(t, client, nodes, 20*time.Second)
-
-	for _, dev := range devices {
-		for _, node := range nodes {
-			resp, err := client.Get(node.url + "/v1/devices/" + dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			code := resp.StatusCode
-			drainBody(t, resp)
-			if code != http.StatusOK {
-				t.Errorf("device %s missing from %s (HTTP %d)", dev, node.id, code)
-			}
-		}
-	}
+	assertDevicesHeld(t, client, nodes, devices)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

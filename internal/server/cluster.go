@@ -98,9 +98,12 @@ func (c *clusterCommitter) Commit(r *store.Record) (uint64, error) {
 	return seq, err
 }
 
-// CommitBatch stamps and group-commits a whole ingest batch, keeping
-// the streaming path on the WAL's single-append fast path when the
-// underlying committer supports it. It implements ingest.BatchCommitter.
+// CommitBatch stamps and group-commits a whole batch, keeping it on the
+// WAL's single-append fast path when the underlying committer supports
+// it. It serves both the stream ingest path (it implements
+// ingest.BatchCommitter) and the replica side of replication, as
+// replication.Config.Apply: a shipped batch or an anti-entropy pull
+// arrives stamped and commits as one group append.
 func (c *clusterCommitter) CommitBatch(recs []*store.Record) error {
 	for _, r := range recs {
 		if r.Stamp().IsZero() {
@@ -147,16 +150,13 @@ func (s *Server) initCluster() error {
 		s.peerClient = &http.Client{Timeout: 5 * time.Second}
 	}
 	repl, err := replication.New(replication.Config{
-		NodeID:   cc.NodeID,
-		Peers:    cc.Peers,
-		Replicas: cc.Replicas,
-		VNodes:   cc.VNodes,
-		Clock:    s.clock,
-		Store:    s.store,
-		Apply: func(r *store.Record) error {
-			_, err := s.committer.Commit(r)
-			return err
-		},
+		NodeID:            cc.NodeID,
+		Peers:             cc.Peers,
+		Replicas:          cc.Replicas,
+		VNodes:            cc.VNodes,
+		Clock:             s.clock,
+		Store:             s.store,
+		Apply:             s.committer.CommitBatch,
 		AckTimeout:        cc.AckTimeout,
 		ShipInterval:      cc.ShipInterval,
 		ReconcileInterval: cc.ReconcileInterval,
@@ -227,7 +227,7 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request, bod
 		writeJSON(w, http.StatusServiceUnavailable, submitResponse{Status: "error", Error: err.Error()})
 		return
 	}
-	if err := s.repl.ShipWait(rec); err != nil {
+	if err := s.repl.ShipWaitBatch([]store.Record{rec}); err != nil {
 		// Durable here but on no replica yet: refuse the ack so the
 		// client retries (resubmission is dup-safe per device — the
 		// newest stamp wins). The local copy stays; anti-entropy

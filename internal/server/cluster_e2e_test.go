@@ -185,6 +185,25 @@ func waitConverged(t *testing.T, client *http.Client, nodes []*clusterNode, wind
 	}
 }
 
+// assertDevicesHeld reports every listed device that some given node
+// does not serve at /v1/devices/{id}.
+func assertDevicesHeld(t *testing.T, client *http.Client, nodes []*clusterNode, devices []string) {
+	t.Helper()
+	for _, dev := range devices {
+		for _, node := range nodes {
+			resp, err := client.Get(node.url + "/v1/devices/" + dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code := resp.StatusCode
+			drainBody(t, resp)
+			if code != http.StatusOK {
+				t.Errorf("device %s missing from %s (HTTP %d)", dev, node.id, code)
+			}
+		}
+	}
+}
+
 func fetchModelBins(t *testing.T, client *http.Client, base, model string) (server.ModelBins, bool) {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/bins?model=" + url.QueryEscape(model))
@@ -245,19 +264,7 @@ func TestClusterReplicatesAndSurvivesKill(t *testing.T) {
 
 	// Zero acknowledged-submission loss: every acked device answers on
 	// every survivor.
-	for _, dev := range acked {
-		for _, node := range survivors {
-			resp, err := client.Get(node.url + "/v1/devices/" + dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			code := resp.StatusCode
-			drainBody(t, resp)
-			if code != http.StatusOK {
-				t.Errorf("acked device %s missing from %s (HTTP %d)", dev, node.id, code)
-			}
-		}
-	}
+	assertDevicesHeld(t, client, survivors, acked)
 
 	// Every surviving record carries a cluster identity: an origin node
 	// and a non-zero HLC stamp.

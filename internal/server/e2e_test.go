@@ -167,7 +167,7 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 		if i%2 == 1 {
 			score = 1600 // fast cluster
 		}
-		score += float64(i) // within-cluster spread
+		score += float64(i)                           // within-cluster spread
 		ambient := units.Celsius(21 + 0.8*float64(i)) // interior of the window; the boundary itself is float-rounding fragile
 		raw := testkit.AcceptedPayload(t, policy, fmt.Sprintf("e2e-%02d", i), score, ambient)
 		resp := postSubmission(t, client, ts.URL, raw)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"sync"
 	"time"
 
 	"accubench/internal/ingest"
@@ -107,10 +108,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestWireFrame commits one batch frame and builds its ack. In
-// cluster mode the batch is first partitioned by shard primary:
-// locally-owned submissions commit here, the rest forward to their
-// primaries as one-shot wire POSTs (falling back to local ingest when
-// a primary is unreachable, exactly like the JSON route).
+// cluster mode the batch is first partitioned by shard primary: each
+// primary's share forwards as a one-shot wire POST in its own goroutine
+// while the locally-owned share commits here, so a mixed batch waits for
+// the slower of the two rather than their sum. Once both finish, shares
+// whose primary was unreachable ingest locally, exactly like the JSON
+// route, and the ack merges every result.
 func (s *Server) ingestWireFrame(ctx context.Context, fr wire.Frame, forwarded bool) wire.Ack {
 	ack := wire.Ack{Batch: fr.Seq}
 	if fr.Type != wire.FrameBatch {
@@ -129,51 +132,85 @@ func (s *Server) ingestWireFrame(ctx context.Context, fr wire.Frame, forwarded b
 	s.wmet.Submissions.Add(uint64(len(wsubs)))
 	s.wmet.BatchSize.Observe(float64(len(wsubs)))
 
-	// Cluster routing: split the batch by each model's shard primary.
 	// An already-forwarded frame ingests here unconditionally — two
 	// nodes with transiently different ring views must not bounce a
 	// batch between them.
-	local := wsubs
-	if s.repl != nil && !forwarded {
-		var remote map[string][]wire.Submission
-		local = local[:0]
-		for _, sub := range wsubs {
-			if s.repl.IsPrimary(sub.Model) {
-				local = append(local, sub)
-				continue
-			}
-			if remote == nil {
-				remote = make(map[string][]wire.Submission)
-			}
-			primary := s.repl.Primary(sub.Model)
-			remote[primary] = append(remote[primary], sub)
+	if s.repl == nil || forwarded {
+		s.commitWire(ctx, &ack, wsubs)
+		return ack
+	}
+
+	// Cluster routing: split the batch by each model's shard primary.
+	type forward struct {
+		node  string
+		group []wire.Submission
+		ack   wire.Ack
+		sent  bool
+	}
+	var fwds []forward
+	local := wsubs[:0]
+	for _, sub := range wsubs {
+		primary := s.repl.Primary(sub.Model)
+		if primary == s.repl.NodeID() {
+			local = append(local, sub)
+			continue
 		}
-		for node, group := range remote {
-			base, ok := s.repl.PeerURL(node)
-			if ok {
-				if peerAck, sent := s.forwardWireBatch(base, fr.Seq, group); sent {
-					s.wmet.ForwardedBatches.Inc()
-					ack.Committed += peerAck.Committed
-					ack.Dropped += peerAck.Dropped
-					if peerAck.Err != "" && ack.Err == "" {
-						ack.Err = "primary " + node + ": " + peerAck.Err
-					}
-					continue
-				}
-			}
+		i := 0
+		for i < len(fwds) && fwds[i].node != primary {
+			i++
+		}
+		if i == len(fwds) {
+			fwds = append(fwds, forward{node: primary})
+		}
+		fwds[i].group = append(fwds[i].group, sub)
+	}
+	var wg sync.WaitGroup
+	seq := fr.Seq
+	for i := range fwds {
+		f := &fwds[i]
+		base, ok := s.repl.PeerURL(f.node)
+		if !ok {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.ack, f.sent = s.forwardWireBatch(base, seq, f.group)
+		}()
+	}
+	s.commitWire(ctx, &ack, local)
+	wg.Wait()
+
+	var fallback []wire.Submission
+	for _, f := range fwds {
+		if !f.sent {
 			// Primary unreachable: ingest here. Safe — the record's
 			// identity is (origin, stamp), never colliding with the
 			// primary's, and anti-entropy converges the shard.
 			s.wmet.ForwardFallbacks.Inc()
-			local = append(local, group...)
+			fallback = append(fallback, f.group...)
+			continue
+		}
+		s.wmet.ForwardedBatches.Inc()
+		ack.Committed += f.ack.Committed
+		ack.Dropped += f.ack.Dropped
+		if f.ack.Err != "" && ack.Err == "" {
+			ack.Err = "primary " + f.node + ": " + f.ack.Err
 		}
 	}
-	if len(local) == 0 {
-		return ack
-	}
+	s.commitWire(ctx, &ack, fallback)
+	return ack
+}
 
-	subs := make([]ingest.Submission, len(local))
-	for i, ws := range local {
+// commitWire commits submissions on this node and folds the outcome
+// into ack: SubmitBatch's one WAL group append, then, in cluster mode,
+// the wait for a replica acknowledgement of every committed record.
+func (s *Server) commitWire(ctx context.Context, ack *wire.Ack, wsubs []wire.Submission) {
+	if len(wsubs) == 0 {
+		return
+	}
+	subs := make([]ingest.Submission, len(wsubs))
+	for i, ws := range wsubs {
 		subs[i] = wireToIngest(ws)
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.SubmitTimeout)
@@ -184,13 +221,13 @@ func (s *Server) ingestWireFrame(ctx context.Context, fr wire.Frame, forwarded b
 		if ack.Err == "" {
 			ack.Err = err.Error()
 		}
-		return ack
+		return
 	}
 	if res.Failed > 0 && ack.Err == "" {
 		ack.Err = "commit failed; retry the batch"
 	}
 	if len(res.Records) == 0 {
-		return ack
+		return
 	}
 	if s.repl != nil {
 		if err := s.repl.ShipWaitBatch(res.Records); err != nil {
@@ -203,7 +240,7 @@ func (s *Server) ingestWireFrame(ctx context.Context, fr wire.Frame, forwarded b
 			if ack.Err == "" {
 				ack.Err = "unreplicated: " + err.Error()
 			}
-			return ack
+			return
 		}
 	}
 	ack.Committed += uint32(len(res.Records))
@@ -212,7 +249,6 @@ func (s *Server) ingestWireFrame(ctx context.Context, fr wire.Frame, forwarded b
 			ack.CommitSeq = res.Records[i].Seq
 		}
 	}
-	return ack
 }
 
 // forwardWireBatch proxies a sub-batch to its shard primary as a

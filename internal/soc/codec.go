@@ -206,8 +206,8 @@ func clusterToJSON(c Cluster) clusterJSON {
 
 func clusterFromJSON(cj clusterJSON) Cluster {
 	c := Cluster{
-		Name:               cj.Name,
-		Cores:              cj.Cores,
+		Name:  cj.Name,
+		Cores: cj.Cores,
 		// Divide by the same constant the save path multiplies by: scaling
 		// by c then by a rounded 1/c drifts a ULP per save/load cycle,
 		// whereas multiply-then-divide by one constant is idempotent.

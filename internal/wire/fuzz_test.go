@@ -25,8 +25,8 @@ func FuzzWireFrameDecode(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(AppendAckFrame(nil, Ack{Batch: 9, Committed: 16, Dropped: 1, CommitSeq: 400, Err: "unreplicated"}))
-	f.Add(valid[:HeaderSize-1])          // torn header
-	f.Add(valid[:len(valid)-2])          // torn payload
+	f.Add(valid[:HeaderSize-1])           // torn header
+	f.Add(valid[:len(valid)-2])           // torn payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // oversized length prefix
 	flipped := append([]byte(nil), valid...)
 	flipped[HeaderSize+3] ^= 0x01 // payload bit flip => CRC mismatch
