@@ -8,7 +8,7 @@ FUZZTIME ?= 5s
 # Minimum acceptable total statement coverage, in percent.
 COVER_FLOOR ?= 75
 
-.PHONY: build test vet fmt-check race race-repl chaos-smoke fuzz-smoke cover godoc-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
+.PHONY: build test vet fmt-check race race-repl chaos-smoke fuzz-smoke cover godoc-check links-check bench bench-check ci demo cluster-demo profile
 
 build:
 	$(GO) build ./...
@@ -80,49 +80,27 @@ godoc-check:
 links-check:
 	sh scripts/check_links.sh
 
-# bench runs the headline hot-path benchmarks (device step, thermal
-# step, Table II regeneration), prints benchstat-comparable output and
-# refreshes BENCH_5.json with the measured ns/op and allocs/op, then
-# the JSON-vs-binary ingest throughput comparison into BENCH_8.json
-# (docs/WIRE.md), then the batched fleet engine into BENCH_9.json
-# (docs/FLEET.md), then the exact-vs-sketch bins read sweep into
-# BENCH_10.json (docs/BINNING.md). See docs/PERFORMANCE.md for the
-# hot-path map behind these numbers.
+# bench runs the repository's benchmark (bench/README.md): every
+# workload in BENCHMARK.json, end to end against real crowdd processes,
+# with its correctness checks. It is the only benchmark. To judge a
+# change, write two passes with `bash bench/run.sh -runs N -out FILE`
+# and compare them with `bash bench/run.sh -compare A B`, which holds
+# every end-to-end metric to its bound in BENCHMARK.json.
 bench:
-	sh scripts/bench_run.sh
-	sh scripts/bench_ingest.sh
-	sh scripts/bench_fleet.sh
-	sh scripts/bench_bins.sh
+	bash bench/run.sh
 
-# bench-diff re-measures and fails if any headline benchmark regressed
-# more than 10% against its committed baseline: ns/op vs BENCH_5.json,
-# fleet devices_steps_per_sec (lower = regression) vs BENCH_9.json,
-# bins read latency + sketch speedup vs BENCH_10.json. The bins sweep
-# gets a wider 30% tolerance: its exact-path rows are multi-second
-# single-shot scans whose min-of-few timing still jitters ~20% on a
-# loaded machine, while the regression it guards (sketch falling back
-# to O(corpus)) shows up as 100x, not 30%.
-bench-diff:
-	sh scripts/bench_diff.sh
-	@tmp=$$(mktemp); BENCH_OUT=$$tmp sh scripts/bench_fleet.sh >/dev/null; \
-		sh scripts/bench_diff.sh BENCH_9.json $$tmp; rc=$$?; rm -f $$tmp; exit $$rc
-	@tmp=$$(mktemp); BENCH_OUT=$$tmp sh scripts/bench_bins.sh >/dev/null; \
-		BENCH_TOLERANCE_PCT=30 sh scripts/bench_diff.sh BENCH_10.json $$tmp; \
-		rc=$$?; rm -f $$tmp; exit $$rc
-
-# bench-smoke is the quick ci gate: a handful of iterations per headline
-# benchmark, enough to prove the hot paths still run (and that the
-# zero-alloc pins in the test suite have benchmarks to back them) without
-# the noise-sensitive regression comparison.
-bench-smoke:
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkDeviceStep|BenchmarkThermalStep|BenchmarkTableII|BenchmarkFleetStep)$$' \
-		-benchmem -benchtime 10x .
+# bench-check vets and tests the benchmark module. bench/ is a Go module
+# of its own, so the root build and test never reach it, yet it compiles
+# against internal/server, ingest, wal, store, wire and fleetsim: this
+# is the step that fails when one of their signatures breaks it. -short
+# skips the smoke runs that start daemons.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # ci is the full gate: vet, formatting, tier-1 build+test, the race pass
 # over the whole tree, the chaos scenario matrix, the fuzz smoke, the
-# bench smoke, then the documentation checks.
-ci: vet fmt-check build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check links-check
+# benchmark module's own checks, then the documentation checks.
+ci: vet fmt-check build test race race-repl chaos-smoke fuzz-smoke bench-check godoc-check links-check
 
 # demo starts crowdd, fires a 200-device load at it, prints the bins and
 # shuts the server down.

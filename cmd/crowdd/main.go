@@ -20,7 +20,8 @@
 //
 // With -node-id and -peers the process joins a replicated, sharded
 // cluster (docs/CLUSTER.md): submissions are HLC-stamped, routed to
-// their model's shard primary, acknowledged only after a durable local
+// their model's shard primary (a node that is not the primary proxies
+// the upload there), acknowledged only after a durable local
 // commit plus one replica acknowledgement, and kept converged by a
 // periodic anti-entropy digest exchange. A node's bins lag its peers'
 // only by replication lag, which GET /v1/digest's sketch_digest shows.
@@ -99,7 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		nodeID     = fs.String("node-id", "", "cluster node ID; empty runs standalone")
 		peers      = fs.String("peers", "", "comma-separated id=url peer list, e.g. n2=http://127.0.0.1:8078,n3=http://127.0.0.1:8079")
 		replicas   = fs.Int("replicas", 0, "replica-set size per model, primary included; 0 replicates everywhere")
-		routeMode  = fs.String("route-mode", server.RouteProxy, "non-primary submission handling: proxy or redirect")
 		reconcile  = fs.Duration("reconcile-interval", time.Second, "anti-entropy digest-exchange cadence")
 		ackTimeout = fs.Duration("ack-timeout", 3*time.Second, "how long a submission waits for one replica acknowledgement")
 	)
@@ -142,14 +142,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		if err != nil {
 			return err
 		}
-		if *routeMode != server.RouteProxy && *routeMode != server.RouteRedirect {
-			return fmt.Errorf("-route-mode must be %q or %q", server.RouteProxy, server.RouteRedirect)
-		}
 		scfg.Cluster = &server.ClusterConfig{
 			NodeID:            *nodeID,
 			Peers:             peerMap,
 			Replicas:          *replicas,
-			RouteMode:         *routeMode,
 			AckTimeout:        *ackTimeout,
 			ReconcileInterval: *reconcile,
 		}
@@ -197,8 +193,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	fmt.Fprintf(stdout, "crowdd: listening on %s (%d shards, %d workers/stage, queue %d, window [%v, %v])\n",
 		ln.Addr(), *shards, *workers, *queue, policy.AcceptLo, policy.AcceptHi)
 	if scfg.Cluster != nil {
-		fmt.Fprintf(stdout, "crowdd: cluster node %s with %d peers (%s routing, reconcile every %v)\n",
-			scfg.Cluster.NodeID, len(scfg.Cluster.Peers), scfg.Cluster.RouteMode, *reconcile)
+		fmt.Fprintf(stdout, "crowdd: cluster node %s with %d peers (reconcile every %v)\n",
+			scfg.Cluster.NodeID, len(scfg.Cluster.Peers), *reconcile)
 	}
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -10,23 +10,13 @@ import (
 	"sync"
 	"time"
 
-	"accubench/internal/accubench"
 	"accubench/internal/fleetsim"
 	"accubench/internal/ingest"
 	"accubench/internal/obs"
 	"accubench/internal/soc"
 	"accubench/internal/units"
+	"accubench/internal/wire"
 )
-
-// uploadItem is one finished benchmark on its way to the server — the
-// decoupling point between the simulation source (fleet engine or
-// per-device simulators) and the upload workers.
-type uploadItem struct {
-	device   string
-	model    string
-	score    float64
-	cooldown []accubench.CooldownSample
-}
 
 // parseMix turns a "-fleet-mix" string like "Nexus 5=3,Google Pixel=1"
 // into cohort specs whose device counts apportion total by the given
@@ -104,15 +94,15 @@ func parseMix(mix string, fallback *soc.DeviceModel, total int) ([]fleetsim.Coho
 // the ingest validator's 150 °C ceiling; a well-behaved app refuses to
 // upload such a trace rather than ship a submission the server must
 // reject (and which would poison its wire batch into futile retries).
-func plausible(it uploadItem) error {
+func plausible(ws wire.Submission) error {
 	sub := ingest.Submission{
-		Device:   it.device,
-		Model:    it.model,
-		Score:    it.score,
-		Cooldown: make([]ingest.CooldownPoint, len(it.cooldown)),
+		Device:   ws.Device,
+		Model:    ws.Model,
+		Score:    ws.Score,
+		Cooldown: make([]ingest.CooldownPoint, len(ws.Cooldown)),
 	}
-	for i, p := range it.cooldown {
-		sub.Cooldown[i] = ingest.CooldownPoint{AtSeconds: p.At.Seconds(), TempC: float64(p.Reading)}
+	for i, p := range ws.Cooldown {
+		sub.Cooldown[i] = ingest.CooldownPoint{AtSeconds: p.AtSeconds, TempC: p.TempC}
 	}
 	return sub.Validate()
 }

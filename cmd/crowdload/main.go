@@ -1,36 +1,29 @@
 // Command crowdload load-tests a running crowdd: it simulates a fleet of N
-// in-the-wild devices (silicon-lottery draws, each at a random ambient),
-// runs ACCUBENCH on every one, and fires the uploads at the server
-// concurrently, retrying on backpressure so nothing is dropped. It then
-// waits for the server to drain, verifies zero dropped submissions, and
-// prints throughput, acceptance-rate and bin stats.
+// in-the-wild devices (silicon-lottery draws, each at a random ambient)
+// with the batched fleet engine (internal/fleetsim, docs/FLEET.md), runs
+// ACCUBENCH on every one, and streams the uploads to the server over the
+// binary wire protocol (docs/WIRE.md). Each worker holds one persistent
+// stream to its home node and ships batches of -batch submissions per
+// frame; an ack means the batch is committed (durably, when crowdd runs
+// with -data-dir), so once every batch is acked the tool verifies zero
+// dropped submissions and prints throughput, acceptance-rate and bin
+// stats.
 //
-// Devices are simulated by the batched fleet engine (internal/fleetsim,
-// docs/FLEET.md) by default: -fleet N steps N devices in struct-of-arrays
-// form, fast enough that a million-device population runs faster than real
-// time on one machine. -fleet-mix spreads the population across handset
-// models; -dry-run skips the server entirely and prints the population
-// study. -source device falls back to one device.Device per unit — the
-// original path, bit-identical to the fleet engine by construction.
-//
-// Uploads ride the binary wire protocol by default — each worker holds
-// one persistent stream to its home node and ships batches of -batch
-// submissions per frame, acked per batch (docs/WIRE.md). -transport
-// json falls back to one JSON POST per submission, the original path,
-// kept for comparison benchmarks and older servers.
+// -fleet-mix spreads the population across handset models; -dry-run
+// skips the server entirely and prints the population study.
 //
 //	crowdd -addr :8077 &
-//	crowdload -addr http://127.0.0.1:8077 -fleet 1000000
+//	crowdload -addr http://127.0.0.1:8077 -devices 1000000
 //
 // Against a cluster (docs/CLUSTER.md), -peers lists the other nodes:
-// uploads are sprayed across all of them, and after the run the tool
-// verifies the cluster-level contract — converged digests, every
-// acknowledged submission present on every live node, bit-identical
-// bins — exiting non-zero on any miss, even if a node died mid-run.
+// uploads are sprayed across all of them, a worker whose stream errors
+// fails over to the next node, and after the run the tool verifies the
+// cluster-level contract — converged digests, every acknowledged
+// submission present on every live node, bit-identical bins — exiting
+// non-zero on any miss, even if a node died mid-run.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,16 +38,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"accubench/internal/chaos"
-	"accubench/internal/crowd"
-	"accubench/internal/fleet"
 	"accubench/internal/fleetsim"
-	"accubench/internal/ingest"
 	"accubench/internal/obs"
-	"accubench/internal/silicon"
-	"accubench/internal/sim"
 	"accubench/internal/soc"
 	"accubench/internal/units"
+	"accubench/internal/wire"
 )
 
 func main() {
@@ -73,24 +61,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		addr        = fs.String("addr", "http://127.0.0.1:8077", "crowdd base URL")
 		devices     = fs.Int("devices", 200, "number of simulated devices")
 		modelName   = fs.String("model", "Nexus 5", "device model to simulate")
-		concurrency = fs.Int("concurrency", 16, "simulating/uploading workers")
+		concurrency = fs.Int("concurrency", 16, "uploading workers, one wire stream each")
 		seed        = fs.Int64("seed", 1, "random seed")
 		ambientLo   = fs.Float64("ambient-lo", 12, "lowest wild ambient, °C")
 		ambientHi   = fs.Float64("ambient-hi", 38, "highest wild ambient, °C")
 		sigma       = fs.Float64("sigma", 0.55, "population leakage log-normal sigma")
 		binNoise    = fs.Float64("bin-noise", 0.35, "fab binning-measurement noise")
-		retries     = fs.Int("retries", 50, "max retries per upload on backpressure")
+		retries     = fs.Int("retries", 50, "max retries per batch before the run fails")
 		peersFlag   = fs.String("peers", "", "comma-separated additional crowdd base URLs; uploads are sprayed across -addr plus these, and after the run every acknowledged submission is verified present on every node with bit-identical bins")
-		scenarioF   = fs.String("scenario", "", "chaos scenario to run the load under (baseline, degraded, partition, high-load); faults are injected client-side into this tool's connections, docs/CLUSTER.md §Fault injection")
-		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for the chaos fault plan; the same seed scripts the same faults")
-		benchOut    = fs.String("bench-out", "", "JSON file to merge this scenario's submissions/sec + ack p99 + time-to-convergence into (BENCH_7.json shape, compared by scripts/bench_diff.sh)")
-		transportF  = fs.String("transport", "binary", "upload transport: binary (persistent streams of batched wire frames, docs/WIRE.md) or json (one POST per submission)")
-		batchK      = fs.Int("batch", 64, "submissions per batch frame on the binary transport")
-		sourceF     = fs.String("source", "fleet", "device simulator: fleet (batched struct-of-arrays engine, internal/fleetsim) or device (one device.Device per unit)")
-		fleetN      = fs.Int("fleet", 0, "shorthand: simulate this many devices on the fleet source (overrides -devices)")
+		batchK      = fs.Int("batch", 64, "submissions per batch frame")
 		fleetWork   = fs.Int("fleet-workers", 0, "fleet stepper goroutines (0 = GOMAXPROCS); results are bit-identical at any worker count")
-		mixF        = fs.String("fleet-mix", "", `model mix for the fleet source, e.g. "Nexus 5=3,Google Pixel=1" — weights apportion -devices; empty uses -model alone`)
-		dryRun      = fs.Bool("dry-run", false, "fleet source only: simulate and print the population study without a server")
+		mixF        = fs.String("fleet-mix", "", `model mix, e.g. "Nexus 5=3,Google Pixel=1" — weights apportion -devices; empty uses -model alone`)
+		dryRun      = fs.Bool("dry-run", false, "simulate and print the population study without a server")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,45 +80,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *fleetN > 0 {
-		*devices = *fleetN
-		*sourceF = "fleet"
-	} else if *fleetN < 0 {
-		return fmt.Errorf("need -fleet > 0")
-	}
 	if *devices <= 0 {
 		return fmt.Errorf("need -devices > 0")
 	}
 	if *concurrency <= 0 {
 		return fmt.Errorf("need -concurrency > 0")
 	}
-	useFleet := false
-	switch *sourceF {
-	case "fleet":
-		useFleet = true
-	case "device":
-		if *mixF != "" {
-			return fmt.Errorf("-fleet-mix needs -source fleet")
-		}
-		if *dryRun {
-			return fmt.Errorf("-dry-run needs -source fleet")
-		}
-	default:
-		return fmt.Errorf("unknown -source %q (want fleet or device)", *sourceF)
-	}
-	if *dryRun && (*scenarioF != "" || *peersFlag != "") {
-		return fmt.Errorf("-dry-run is simulation-only; drop -scenario/-peers")
-	}
-	useWire := false
-	switch *transportF {
-	case "binary":
-		useWire = true
-	case "json":
-	default:
-		return fmt.Errorf("unknown -transport %q (want binary or json)", *transportF)
-	}
-	if useWire && *batchK <= 0 {
+	if *batchK <= 0 {
 		return fmt.Errorf("need -batch > 0")
+	}
+	if *dryRun && *peersFlag != "" {
+		return fmt.Errorf("-dry-run is simulation-only; drop -peers")
 	}
 	model, err := soc.ModelByName(*modelName)
 	if err != nil {
@@ -150,86 +104,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	var sc chaos.Scenario
-	var plan *chaos.Plan
-	if *scenarioF != "" {
-		if sc, err = chaos.MustLookup(*scenarioF); err != nil {
-			return err
-		}
-		if sc.Name == "partition" && len(nodes) < 2 {
-			return fmt.Errorf("the partition scenario needs -peers: with a single node the client would just be cut off")
-		}
-		plan = chaos.NewPlan(*chaosSeed)
-	}
 
-	// Build the population. Fleet source: cohort specs for the batched
-	// engine, with the silicon lottery and wild ambients drawn inside
-	// fleetsim.New. Device source: one crowd.WildDevice per unit, the
-	// original path.
-	var fl *fleetsim.Fleet
-	var wild []crowd.WildDevice
-	modelNames := []string{model.Name}
-	if useFleet {
-		specs, err := parseMix(*mixF, model, *devices)
-		if err != nil {
-			return err
-		}
-		reg := obs.NewRegistry("crowdload_")
-		if fl, err = fleetsim.New(fleetsim.Config{
-			Seed:      *seed,
-			Cohorts:   specs,
-			AmbientLo: units.Celsius(*ambientLo),
-			AmbientHi: units.Celsius(*ambientHi),
-			Sigma:     *sigma,
-			BinNoise:  *binNoise,
-			Workers:   *fleetWork,
-			Metrics:   reg,
-		}); err != nil {
-			return err
-		}
-		modelNames = modelNames[:0]
-		for _, c := range fl.Cohorts() {
-			modelNames = append(modelNames, c.Model().Name)
-		}
-		if *dryRun {
-			return dryRunFleet(stdout, fl, reg)
-		}
-	} else {
-		src := sim.NewSource(*seed, "crowdload")
-		lottery := silicon.Lottery{Sigma: *sigma, Bins: model.SoC.Bins, BinNoise: *binNoise}
-		corners, err := lottery.Draw(src, *devices)
-		if err != nil {
-			return err
-		}
-		wild = make([]crowd.WildDevice, *devices)
-		for i, corner := range corners {
-			wild[i] = crowd.WildDevice{
-				Unit:    fleet.Unit{Name: fmt.Sprintf("load-%04d", i), ModelName: model.Name, Corner: corner},
-				Ambient: units.Celsius(src.Uniform(*ambientLo, *ambientHi)),
-				Seed:    *seed*1000 + int64(i),
-				Quick:   true,
-			}
-		}
+	// Build the population: cohort specs for the batched engine, with the
+	// silicon lottery and wild ambients drawn inside fleetsim.New.
+	specs, err := parseMix(*mixF, model, *devices)
+	if err != nil {
+		return err
 	}
-	population := model.Name
-	if fl != nil {
-		population = describeFleet(fl)
+	reg := obs.NewRegistry("crowdload_")
+	fl, err := fleetsim.New(fleetsim.Config{
+		Seed:      *seed,
+		Cohorts:   specs,
+		AmbientLo: units.Celsius(*ambientLo),
+		AmbientHi: units.Celsius(*ambientHi),
+		Sigma:     *sigma,
+		BinNoise:  *binNoise,
+		Workers:   *fleetWork,
+		Metrics:   reg,
+	})
+	if err != nil {
+		return err
+	}
+	if *dryRun {
+		return dryRunFleet(stdout, fl, reg)
+	}
+	modelNames := make([]string, 0, len(fl.Cohorts()))
+	for _, c := range fl.Cohorts() {
+		modelNames = append(modelNames, c.Model().Name)
 	}
 	if len(nodes) == 1 {
-		fmt.Fprintf(stdout, "crowdload: %d devices (%s, %s source) → %s (%d workers, %s transport)\n", *devices, population, *sourceF, *addr, *concurrency, *transportF)
+		fmt.Fprintf(stdout, "crowdload: %d devices (%s) → %s (%d workers, batches of %d)\n", *devices, describeFleet(fl), *addr, *concurrency, *batchK)
 	} else {
-		fmt.Fprintf(stdout, "crowdload: %d devices (%s, %s source) sprayed across %d nodes (%d workers, %s transport)\n", *devices, population, *sourceF, len(nodes), *concurrency, *transportF)
+		fmt.Fprintf(stdout, "crowdload: %d devices (%s) sprayed across %d nodes (%d workers, batches of %d)\n", *devices, describeFleet(fl), len(nodes), *concurrency, *batchK)
 	}
 	// One shared transport for the whole run, tuned so every worker keeps
 	// a warm connection: the default keeps only 2 idle conns per host, so
-	// with more workers than that every third POST would pay a fresh TCP
-	// handshake. Keep-alives stay on (binary streams hold their
-	// connection open for the run; JSON POSTs reuse pooled ones).
+	// with more workers than that a reopened stream or a verification GET
+	// would pay a fresh TCP handshake.
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = *concurrency
 	transport.MaxIdleConns = 4 * *concurrency
-	transport.DisableKeepAlives = false
 	client := &http.Client{Timeout: 30 * time.Second, Transport: transport}
+	// Streams live longer than any single request, so they bypass the
+	// client's 30 s whole-request timeout while sharing its transport.
+	streamClient := &http.Client{Transport: transport}
 
 	// Snapshot the counters first: the servers may already hold records, so
 	// every accounting figure below is a delta against this baseline.
@@ -238,160 +156,58 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Scenario mode: route this tool's traffic through the fault plan's
-	// Transport and script the scenario — after the baseline snapshot, so
-	// the accounting deltas are not taken through a partition.
-	netRetries := 0
-	if plan != nil {
-		scNodes := []string{"client"}
-		for i, node := range nodes {
-			id := fmt.Sprintf("node%d", i+1)
-			if err := plan.RegisterNode(id, node); err != nil {
-				return err
-			}
-			scNodes = append(scNodes, id)
-		}
-		ct := chaos.NewTransport(plan, "client")
-		ct.Base = transport
-		client.Transport = ct
-		sc.Apply(plan, scNodes)
-		// Injected connection failures (drops, partitions) are part of the
-		// scenario, not a dead server: retry a few times before failing over.
-		netRetries = 3
-		fmt.Fprintf(stdout, "chaos: scenario %s (seed %d): %s\n", sc.Name, *chaosSeed, sc.Description)
-		for _, ev := range plan.Events() {
-			fmt.Fprintf(stdout, "chaos:   %s\n", ev)
-		}
-	}
-
-	// Streams live longer than any single POST, so they bypass the
-	// client's 30 s whole-request timeout while sharing its (possibly
-	// chaos-wrapped) transport and connection pool.
-	streamClient := &http.Client{Transport: client.Transport}
-
 	var sent, retried, failed, implausible atomic.Uint64
-	var simNanos, postNanos atomic.Int64
+	var postNanos atomic.Int64
 	var ackedMu sync.Mutex
-	var acked []string         // device IDs whose upload was acknowledged
-	var ackLatencies []float64 // per acked upload (JSON) or batch (binary): ms from first send to the ack, retries included
+	var acked []string // device IDs whose upload was acknowledged
 	start := time.Now()
 
-	// The simulation source feeds finished benchmarks into items; upload
-	// workers drain it. The fleet engine produces in shard bursts while
-	// uploads stream out concurrently, so the channel carries a buffer.
-	items := make(chan uploadItem, 1024)
+	// The fleet engine feeds finished benchmarks into items; upload
+	// workers drain it. The engine produces in shard bursts while uploads
+	// stream out concurrently, so the channel carries a buffer.
+	items := make(chan wire.Submission, 1024)
+	var simTime time.Duration
 	prodErr := make(chan error, 1)
 	go func() {
 		defer close(items)
-		if fl != nil {
-			t0 := time.Now()
-			err := fl.RunWild(func(s fleetsim.Submission) {
-				it := uploadItem{device: s.Device, model: s.Model, score: s.Score, cooldown: s.Cooldown}
-				if plausible(it) != nil {
-					// Lottery-tail thermal runaway: the trace would fail
-					// the server's ingest validation, so don't upload it.
-					implausible.Add(1)
-					return
-				}
-				items <- it
-			})
-			simNanos.Add(time.Since(t0).Nanoseconds())
-			prodErr <- err
-			return
-		}
-		// Device source: one simulator per upload worker, the original
-		// concurrency shape.
-		var pw sync.WaitGroup
-		work := make(chan crowd.WildDevice)
-		for w := 0; w < *concurrency; w++ {
-			pw.Add(1)
-			go func() {
-				defer pw.Done()
-				for dev := range work {
-					t0 := time.Now()
-					sub, err := dev.Benchmark()
-					simNanos.Add(time.Since(t0).Nanoseconds())
-					if err != nil {
-						fmt.Fprintf(stderr, "crowdload: %s: benchmark: %v\n", dev.Unit.Name, err)
-						failed.Add(1)
-						continue
-					}
-					items <- uploadItem{device: sub.Device, model: dev.Unit.ModelName, score: sub.Score, cooldown: sub.CooldownReadings}
-				}
-			}()
-		}
-		for _, dev := range wild {
-			work <- dev
-		}
-		close(work)
-		pw.Wait()
-		prodErr <- nil
+		t0 := time.Now()
+		err := fl.RunWild(func(s fleetsim.Submission) {
+			ws := wire.Submission{Device: s.Device, Model: s.Model, Score: s.Score, Cooldown: make([]wire.Point, len(s.Cooldown))}
+			for i, p := range s.Cooldown {
+				ws.Cooldown[i] = wire.Point{AtSeconds: p.At.Seconds(), TempC: float64(p.Reading)}
+			}
+			if plausible(ws) != nil {
+				// Lottery-tail thermal runaway: the trace would fail the
+				// server's ingest validation, so don't upload it.
+				implausible.Add(1)
+				return
+			}
+			items <- ws
+		})
+		simTime = time.Since(t0)
+		prodErr <- err
 	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < *concurrency; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(home int) {
 			defer wg.Done()
-			if useWire {
-				wireWorker(wireWorkerConfig{
-					client:     streamClient,
-					nodes:      nodes,
-					home:       w % len(nodes),
-					batch:      *batchK,
-					retries:    *retries + netRetries,
-					stderr:     stderr,
-					sent:       &sent,
-					retried:    &retried,
-					failed:     &failed,
-					postNanos:  &postNanos,
-					ackedMu:    &ackedMu,
-					acked:      &acked,
-					ackLatency: &ackLatencies,
-				}, func(yield func(uploadItem)) {
-					for it := range items {
-						yield(it)
-					}
-				})
-				return
-			}
-			home := w % len(nodes)
-			for it := range items {
-				raw, err := ingest.Marshal(it.device, it.model, it.score, it.cooldown)
-				if err != nil {
-					fmt.Fprintf(stderr, "crowdload: %s: marshal: %v\n", it.device, err)
-					failed.Add(1)
-					continue
-				}
-				t1 := time.Now()
-				node := nodes[home]
-				err = upload(client, node, raw, *retries, &retried, netRetries)
-				if err != nil && len(nodes) > 1 {
-					// A node dying mid-run must not lose the device: fail
-					// over to the other nodes before giving up.
-					for _, alt := range nodes {
-						if alt == node {
-							continue
-						}
-						if err = upload(client, alt, raw, *retries, &retried, netRetries); err == nil {
-							break
-						}
-					}
-				}
-				if err != nil {
-					fmt.Fprintf(stderr, "crowdload: %s: %v\n", it.device, err)
-					failed.Add(1)
-					continue
-				}
-				ackWait := time.Since(t1)
-				postNanos.Add(ackWait.Nanoseconds())
-				sent.Add(1)
-				ackedMu.Lock()
-				acked = append(acked, it.device)
-				ackLatencies = append(ackLatencies, float64(ackWait.Nanoseconds())/1e6)
-				ackedMu.Unlock()
-			}
-		}(w)
+			wireWorker(wireWorkerConfig{
+				client:    streamClient,
+				nodes:     nodes,
+				home:      home,
+				batch:     *batchK,
+				retries:   *retries,
+				stderr:    stderr,
+				sent:      &sent,
+				retried:   &retried,
+				failed:    &failed,
+				postNanos: &postNanos,
+				ackedMu:   &ackedMu,
+				acked:     &acked,
+			}, items)
+		}(w % len(nodes))
 	}
 	wg.Wait()
 	if err := <-prodErr; err != nil {
@@ -403,29 +219,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%d submissions failed", failed.Load())
 	}
 
-	// Heal before verifying: the scenario's faults were the workload; the
-	// acceptance contract is what the cluster looks like afterwards.
-	// Time-to-convergence is measured from this instant.
-	var healedAt time.Time
-	if plan != nil {
-		healedAt = time.Now()
-		sc.Heal(plan)
-	}
-
-	fmt.Fprintf(stdout, "\nuploaded %d submissions in %v (%.1f sub/s end to end, %d backpressure retries)\n",
+	fmt.Fprintf(stdout, "\nuploaded %d submissions in %v (%.1f sub/s end to end, %d batch retries)\n",
 		sent.Load(), elapsed.Round(time.Millisecond), float64(sent.Load())/elapsed.Seconds(), retried.Load())
 	if n := implausible.Load(); n > 0 {
 		fmt.Fprintf(stdout, "withheld %d implausible traces (silicon-lottery thermal-runaway tail — would fail ingest validation)\n", n)
 	}
-	fmt.Fprintf(stdout, "device-sim time %v total, post time %v total across %d workers\n",
-		time.Duration(simNanos.Load()).Round(time.Millisecond),
-		time.Duration(postNanos.Load()).Round(time.Millisecond), *concurrency)
+	fmt.Fprintf(stdout, "device-sim time %v, batch ack wait %v total across %d workers\n",
+		simTime.Round(time.Millisecond), time.Duration(postNanos.Load()).Round(time.Millisecond), *concurrency)
 
+	// An acked batch is already committed — and in a cluster, held by a
+	// replica too — so nothing is left in flight. Standalone, one scrape
+	// of the counters settles the accounting. A cluster must also show
+	// the cluster-level contract: converged digests, every acknowledged
+	// submission present on every live node, bit-identical bins.
+	binsNode := nodes[0]
+	if len(nodes) > 1 {
+		live, err := verifyCluster(client, stdout, nodes, modelNames, acked)
+		if err != nil {
+			return err
+		}
+		binsNode = live[0]
+	}
+	metrics, err := fetchClusterMetrics(client, nodes)
+	if err != nil {
+		return err
+	}
 	// settled sums a counter's delta across every node still answering
 	// /metrics. In cluster mode a dead node's local-ingest counts drop out
-	// of the sum; the convergence check below is what proves nothing was
+	// of the sum; the convergence check above is what proves nothing was
 	// lost.
-	var metrics []map[string]uint64
 	settled := func(name string) uint64 {
 		var sum uint64
 		for i, m := range metrics {
@@ -434,53 +256,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		return sum
-	}
-	var binsNode string
-	var convergeMS int64
-	if len(nodes) == 1 {
-		// Standalone: wait for the server to drain — stored must reach
-		// sent, and any shortfall is a dropped submission, a hard failure.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			if metrics, err = fetchClusterMetrics(client, nodes); err != nil {
-				return err
-			}
-			if settled("crowdd_stored_total")+settled("crowdd_decode_errors_total")+settled("crowdd_aborted_total") >= sent.Load() {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("server did not drain: %d stored of %d sent", settled("crowdd_stored_total"), sent.Load())
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		binsNode = nodes[0]
-		if plan != nil {
-			// Standalone "convergence" is the drain: every acked upload
-			// visible in the store.
-			convergeMS = time.Since(healedAt).Milliseconds()
-		}
-	} else {
-		if plan != nil {
-			// Time-to-convergence: heal until every node agrees on digests.
-			// verifyCluster re-checks below — cheap once converged.
-			if _, err := waitDigestsConverge(client, nodes, 60*time.Second); err != nil {
-				return err
-			}
-			convergeMS = time.Since(healedAt).Milliseconds()
-		}
-		// Cluster: a 202 already implied a durable local commit plus one
-		// replica acknowledgement, so there is nothing left in flight once
-		// every upload is acknowledged. Verify the cluster-level contract
-		// instead: converged digests, every acknowledged submission present
-		// on every live node, bit-identical bins.
-		live, err := verifyCluster(client, stdout, nodes, model.Name, acked)
-		if err != nil {
-			return err
-		}
-		if metrics, err = fetchClusterMetrics(client, nodes); err != nil {
-			return err
-		}
-		binsNode = live[0]
 	}
 
 	stored := settled("crowdd_stored_total")
@@ -507,37 +282,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintln(stdout, "zero dropped submissions ✓")
-
-	if plan != nil {
-		st := plan.Stats()
-		fmt.Fprintf(stdout, "chaos: injected %d delays, %d drops, %d error responses, %d mid-body breaks, %d blocked by partition\n",
-			st.Delayed, st.Dropped, st.Errored, st.BodyErrs, st.Blocked)
-		ackedMu.Lock()
-		res := scenarioResult{
-			Name:              sc.Name,
-			SubmissionsPerSec: float64(sent.Load()) / elapsed.Seconds(),
-			AckP99MS:          p99ms(ackLatencies),
-			ConvergenceMS:     convergeMS,
-		}
-		ackedMu.Unlock()
-		fmt.Fprintf(stdout, "chaos: scenario %s: %.1f sub/s, ack p99 %.1fms, convergence %dms\n",
-			res.Name, res.SubmissionsPerSec, res.AckP99MS, res.ConvergenceMS)
-		if *benchOut != "" {
-			if err := writeBenchOut(*benchOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "chaos: recorded scenario %s into %s\n", res.Name, *benchOut)
-		}
-	}
 	return nil
 }
 
 // verifyCluster is the cluster-mode acceptance gate: every node that is
 // still alive must converge to the same per-model digests, hold every
-// acknowledged submission, and serve bit-identical bins. Any
-// acknowledged upload missing anywhere is a replication bug and fails
-// the run. Returns the live node set.
-func verifyCluster(client *http.Client, stdout io.Writer, nodes []string, model string, acked []string) ([]string, error) {
+// acknowledged submission, and serve bit-identical bins for every model.
+// Any acknowledged upload missing anywhere is a replication bug and
+// fails the run. Returns the live node set.
+func verifyCluster(client *http.Client, stdout io.Writer, nodes, models, acked []string) ([]string, error) {
 	live, err := waitDigestsConverge(client, nodes, 60*time.Second)
 	if err != nil {
 		return nil, err
@@ -567,8 +320,10 @@ func verifyCluster(client *http.Client, stdout io.Writer, nodes []string, model 
 	}
 	fmt.Fprintf(stdout, "all %d acknowledged submissions present on every live node ✓\n", len(acked))
 
-	if err := waitBinsIdentical(client, live, model, 30*time.Second); err != nil {
-		return nil, err
+	for _, model := range models {
+		if err := waitBinsIdentical(client, live, model, 30*time.Second); err != nil {
+			return nil, err
+		}
 	}
 	fmt.Fprintf(stdout, "bins bit-identical across %d nodes ✓\n", len(live))
 	return live, nil
@@ -708,36 +463,6 @@ func fetchClusterMetrics(client *http.Client, nodes []string) ([]map[string]uint
 	return out, nil
 }
 
-// upload POSTs one payload, retrying on 503 backpressure with linear
-// backoff. netRetries additionally retries connection-level failures —
-// scenario mode sets it non-zero, because injected drops and partitions
-// are part of the workload, not a dead server.
-func upload(client *http.Client, addr string, raw []byte, retries int, retried *atomic.Uint64, netRetries int) error {
-	netErrs := 0
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(addr+"/v1/submissions", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			if netErrs++; netErrs > netRetries {
-				return err
-			}
-			retried.Add(1)
-			time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusAccepted:
-			return nil
-		case resp.StatusCode == http.StatusServiceUnavailable && attempt < retries:
-			retried.Add(1)
-			time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
-		default:
-			return fmt.Errorf("POST /v1/submissions = %d after %d attempts", resp.StatusCode, attempt+1)
-		}
-	}
-}
-
 // fetchMetrics parses the plain-text /metrics exposition.
 func fetchMetrics(client *http.Client, addr string) (map[string]uint64, error) {
 	resp, err := client.Get(addr + "/metrics")
@@ -764,10 +489,10 @@ func fetchMetrics(client *http.Client, addr string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// printBins prints the model's bins. It reads once: it runs after the
-// drain (standalone) or the convergence check (cluster), and the server
-// serves bins folded from sketches every commit keeps current, so the
-// read already counts every stored submission.
+// printBins prints the model's bins. It reads once: it runs after every
+// batch was acked (and, in a cluster, after the convergence check), and
+// the server serves bins folded from sketches every commit keeps
+// current, so the read already counts every stored submission.
 func printBins(client *http.Client, stdout io.Writer, addr, model string) error {
 	resp, err := client.Get(addr + "/v1/bins?model=" + url.QueryEscape(model))
 	if err != nil {

@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"accubench/internal/accubench"
 	"accubench/internal/server"
 	"accubench/internal/soc"
+	"accubench/internal/wire"
 )
 
 // TestLoadAgainstRealBackend runs the full load generator — simulated
-// fleet, concurrent uploads, drain wait, bin report — against a real
+// fleet, concurrent streamed uploads, bin report — against a real
 // backend over HTTP, and asserts its own zero-drop guarantee held.
 func TestLoadAgainstRealBackend(t *testing.T) {
 	srv, err := server.New(server.Config{})
@@ -80,7 +84,7 @@ func TestDryRunFleet(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		err := run([]string{
 			"-dry-run",
-			"-fleet", "8",
+			"-devices", "8",
 			"-seed", "3",
 			"-fleet-mix", "Nexus 5=1,Google Pixel=1",
 			"-fleet-workers", workers,
@@ -137,23 +141,17 @@ func TestParseMix(t *testing.T) {
 // thermal-runaway trace (readings past the ingest validator's 150 °C
 // ceiling) is withheld, a sane trace passes.
 func TestPlausible(t *testing.T) {
-	sane := uploadItem{
-		device: "fleet-0000001",
-		model:  "Nexus 5",
-		score:  300,
-		cooldown: []accubench.CooldownSample{
-			{At: 5 * time.Second, Reading: 41.25},
-			{At: 10 * time.Second, Reading: 38.5},
-		},
+	sane := wire.Submission{
+		Device:   "fleet-0000001",
+		Model:    "Nexus 5",
+		Score:    300,
+		Cooldown: []wire.Point{{AtSeconds: 5, TempC: 41.25}, {AtSeconds: 10, TempC: 38.5}},
 	}
 	if err := plausible(sane); err != nil {
 		t.Errorf("sane trace rejected: %v", err)
 	}
 	runaway := sane
-	runaway.cooldown = []accubench.CooldownSample{
-		{At: 5 * time.Second, Reading: 412.5},
-		{At: 10 * time.Second, Reading: 380},
-	}
+	runaway.Cooldown = []wire.Point{{AtSeconds: 5, TempC: 412.5}, {AtSeconds: 10, TempC: 380}}
 	if err := plausible(runaway); err == nil {
 		t.Error("runaway trace (412 °C reading) passed the plausibility gate")
 	}
@@ -169,11 +167,8 @@ func TestLoadFlagErrors(t *testing.T) {
 		{"stray args", []string{"stray"}},
 		{"zero devices", []string{"-devices", "0"}},
 		{"negative concurrency", []string{"-concurrency", "-1"}},
+		{"zero batch", []string{"-batch", "0"}},
 		{"unknown model", []string{"-model", "NoSuchPhone", "-devices", "1"}},
-		{"unknown source", []string{"-source", "magic", "-devices", "1"}},
-		{"negative fleet", []string{"-fleet", "-5"}},
-		{"mix with device source", []string{"-source", "device", "-fleet-mix", "Nexus 5=1", "-devices", "1"}},
-		{"dry-run with device source", []string{"-source", "device", "-dry-run", "-devices", "1"}},
 		{"dry-run with peers", []string{"-dry-run", "-peers", "http://x", "-devices", "1"}},
 		{"bad mix weight", []string{"-dry-run", "-fleet-mix", "Nexus 5=zero", "-devices", "1"}},
 		{"mix larger than fleet", []string{"-dry-run", "-fleet-mix", "Nexus 5=1,Google Pixel=1", "-devices", "1"}},
@@ -184,5 +179,115 @@ func TestLoadFlagErrors(t *testing.T) {
 				t.Errorf("run(%v) succeeded, want error", tc.args)
 			}
 		})
+	}
+}
+
+// TestLoadAgainstClusterWithDeadNode drives the cluster path against
+// three in-process WAL-backed nodes, one stopped before the run. The
+// worker homed on the dead node must fail over and finish on a live one,
+// and the run must verify the cluster contract for both models of the
+// mix: converged digests on the two live nodes, every acked submission
+// on both, identical bins, zero drops.
+func TestLoadAgainstClusterWithDeadNode(t *testing.T) {
+	const nodes, workers, devices = 3, 3, 48
+	lns := make([]net.Listener, nodes)
+	urls := make([]string, nodes)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		urls[i] = "http://" + ln.Addr().String()
+	}
+	srvs := make([]*server.Server, nodes)
+	hsrvs := make([]*http.Server, nodes)
+	for i := range srvs {
+		peers := make(map[string]string)
+		for j, u := range urls {
+			if j != i {
+				peers[fmt.Sprintf("n%d", j+1)] = u
+			}
+		}
+		srv, err := server.New(server.Config{
+			DataDir: t.TempDir(),
+			Cluster: &server.ClusterConfig{
+				NodeID:            fmt.Sprintf("n%d", i+1),
+				Peers:             peers,
+				AckTimeout:        2 * time.Second,
+				ShipInterval:      2 * time.Millisecond,
+				ReconcileInterval: 50 * time.Millisecond,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start(context.Background())
+		hsrvs[i] = &http.Server{Handler: srv.Handler()}
+		go hsrvs[i].Serve(lns[i])
+		srvs[i] = srv
+	}
+	defer func() {
+		for i := range srvs {
+			hsrvs[i].Close()
+			srvs[i].Close()
+		}
+	}()
+	// n3 is down before the first upload: its port refuses connections.
+	hsrvs[2].Close()
+	srvs[2].Close()
+
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-addr", urls[0],
+		"-peers", urls[1] + "," + urls[2],
+		"-devices", fmt.Sprint(devices),
+		"-fleet-mix", "Nexus 5=1,Google Pixel=1",
+		"-concurrency", fmt.Sprint(workers),
+		"-batch", "4",
+		"-seed", "11",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("crowdload failed: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		fmt.Sprintf("uploaded %d submissions", devices),
+		"cluster converged: 2/3 nodes agree on digests",
+		fmt.Sprintf("all %d acknowledged submissions present on every live node", devices),
+		"bins bit-identical across 2 nodes",
+		"bins for Nexus 5:",
+		"bins for Google Pixel:",
+		"zero dropped submissions",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+
+	// Both live nodes hold every upload, with identical per-model digests.
+	live := srvs[:2]
+	for i, srv := range live {
+		if n := srv.Store().Len(); n != devices {
+			t.Errorf("n%d holds %d records, want %d", i+1, n, devices)
+		}
+	}
+	if a, b := live[0].Store().DigestAll(), live[1].Store().DigestAll(); !reflect.DeepEqual(a, b) {
+		t.Errorf("live nodes' digests differ:\n n1 %v\n n2 %v", a, b)
+	}
+
+	// Failover: every worker's stream, the one homed on n3 included,
+	// landed on a live node. Node-to-node forwards are streams too, so
+	// they come off the count.
+	clientStreams := uint64(0)
+	for _, u := range urls[:2] {
+		m, err := fetchMetrics(http.DefaultClient, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientStreams += m["crowdd_wire_streams_total"] - m["crowdd_wire_forwarded_batches_total"]
+	}
+	if clientStreams != workers {
+		t.Errorf("live nodes accepted %d client streams, want one per worker (%d)", clientStreams, workers)
 	}
 }

@@ -11,26 +11,25 @@ import (
 	"accubench/internal/wire"
 )
 
-// wireWorkerConfig carries one binary-transport worker's shared state:
-// the tuned client, the node list (home is this worker's starting
-// node), and the run-wide accounting sinks the JSON path also feeds.
+// wireWorkerConfig carries one upload worker's shared state: the
+// stream client, the node list (home is this worker's starting node),
+// and the run-wide accounting sinks.
 type wireWorkerConfig struct {
-	client     *http.Client
-	nodes      []string
-	home       int
-	batch      int
-	retries    int
-	stderr     io.Writer
-	sent       *atomic.Uint64
-	retried    *atomic.Uint64
-	failed     *atomic.Uint64
-	postNanos  *atomic.Int64
-	ackedMu    *sync.Mutex
-	acked      *[]string
-	ackLatency *[]float64
+	client    *http.Client
+	nodes     []string
+	home      int
+	batch     int
+	retries   int
+	stderr    io.Writer
+	sent      *atomic.Uint64
+	retried   *atomic.Uint64
+	failed    *atomic.Uint64
+	postNanos *atomic.Int64
+	ackedMu   *sync.Mutex
+	acked     *[]string
 }
 
-// wireWorker drains finished benchmarks from the feed, accumulates them
+// wireWorker drains finished benchmarks from items, accumulates them
 // into batch frames and ships them over one persistent wire stream to
 // the worker's home node — a window of one batch in flight, so the
 // server's ack pace is the flow control. A stream error or an erroring
@@ -38,7 +37,7 @@ type wireWorkerConfig struct {
 // whole batch: retries are dup-safe (the cluster stamps resubmissions
 // fresh and keeps the newest per device), and an acked batch is durable,
 // so nothing acknowledged is ever resent.
-func wireWorker(cfg wireWorkerConfig, feed func(yield func(uploadItem))) {
+func wireWorker(cfg wireWorkerConfig, items <-chan wire.Submission) {
 	var st *wire.Stream
 	defer func() {
 		if st != nil {
@@ -46,7 +45,6 @@ func wireWorker(cfg wireWorkerConfig, feed func(yield func(uploadItem))) {
 		}
 	}()
 	batch := make([]wire.Submission, 0, cfg.batch)
-	devs := make([]string, 0, cfg.batch)
 
 	flush := func() {
 		if len(batch) == 0 {
@@ -96,34 +94,23 @@ func wireWorker(cfg wireWorkerConfig, feed func(yield func(uploadItem))) {
 				fmt.Fprintf(cfg.stderr, "crowdload: server dropped %d invalid submissions from a batch of %d\n", ack.Dropped, len(batch))
 				cfg.failed.Add(uint64(ack.Dropped))
 			}
-			latency := time.Since(t0)
-			cfg.postNanos.Add(latency.Nanoseconds())
+			cfg.postNanos.Add(time.Since(t0).Nanoseconds())
 			cfg.sent.Add(uint64(len(batch)))
 			cfg.ackedMu.Lock()
-			*cfg.acked = append(*cfg.acked, devs...)
-			*cfg.ackLatency = append(*cfg.ackLatency, float64(latency.Nanoseconds())/1e6)
+			for _, ws := range batch {
+				*cfg.acked = append(*cfg.acked, ws.Device)
+			}
 			cfg.ackedMu.Unlock()
 			break
 		}
 		batch = batch[:0]
-		devs = devs[:0]
 	}
 
-	feed(func(it uploadItem) {
-		ws := wire.Submission{
-			Device:   it.device,
-			Model:    it.model,
-			Score:    it.score,
-			Cooldown: make([]wire.Point, len(it.cooldown)),
-		}
-		for i, p := range it.cooldown {
-			ws.Cooldown[i] = wire.Point{AtSeconds: p.At.Seconds(), TempC: float64(p.Reading)}
-		}
+	for ws := range items {
 		batch = append(batch, ws)
-		devs = append(devs, it.device)
 		if len(batch) >= cfg.batch {
 			flush()
 		}
-	})
+	}
 	flush()
 }

@@ -22,9 +22,9 @@
 // -count=2`).
 //
 // Scenario (scenario.go) names the standard fault shapes — baseline,
-// degraded, partition, high-load — used by internal/server's chaos test
-// matrix and by `crowdload -scenario <name> -chaos-seed N` against real
-// daemons.
+// degraded, partition, high-load — run by internal/server's chaos test
+// matrix (`make chaos-smoke`). Against real daemons, `make cluster-demo`
+// SIGKILLs one node of a three-node cluster under load.
 package chaos
 
 import (

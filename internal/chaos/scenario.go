@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"accubench/internal/sim"
@@ -9,19 +8,16 @@ import (
 
 // Scenario is one named fault shape — the YCSB-style workload scenarios
 // (baseline / degraded / partition / high-load) the cluster's failure
-// behaviour is measured under, both in the internal/server chaos test
-// matrix and via `crowdload -scenario <name>`.
+// behaviour is checked under by internal/server's chaos test matrix.
 //
 // Apply scripts the scenario's faults onto a plan for an ordered node
-// list. By convention nodes[0] is the observer (the client, or the node
-// the harness posts through) and is never picked as a fault victim —
+// list. By convention nodes[0] is the observer (the node the harness
+// posts through) and is never picked as a fault victim —
 // victim draws come from nodes[1:], seeded from the plan, so a fixed
 // seed always picks the same victim.
 type Scenario struct {
-	// Name is the scenario's identity (-scenario flag value).
+	// Name is the scenario's identity.
 	Name string
-	// Description is one line for help text and logs.
-	Description string
 	// HealAfter is the scheduled network recovery: partitions lift this
 	// long after Apply (0 means nothing to heal on a schedule).
 	HealAfter time.Duration
@@ -67,14 +63,16 @@ func pairs(nodes []string, f func(src, dst string)) {
 
 // Scenarios is the standard matrix, in documentation order.
 var Scenarios = []Scenario{
+	// No faults: the control run every other scenario is compared
+	// against.
 	{
-		Name:        "baseline",
-		Description: "no faults: the control run every other scenario is compared against",
-		apply:       func(p *Plan, nodes []string) {},
+		Name:  "baseline",
+		apply: func(p *Plan, nodes []string) {},
 	},
+	// Lossy, slow network: 1-4ms latency ±1ms jitter, 5% drops, 2% error
+	// responses on every pair.
 	{
-		Name:        "degraded",
-		Description: "lossy, slow network: 1-4ms latency ±1ms jitter, 5% drops, 2% error responses on every pair",
+		Name: "degraded",
 		apply: func(p *Plan, nodes []string) {
 			lat := sim.NewSource(p.Seed(), "chaos:scenario:degraded:latency")
 			pairs(nodes, func(src, dst string) {
@@ -87,10 +85,11 @@ var Scenarios = []Scenario{
 			})
 		},
 	},
+	// One node symmetrically cut off from every peer, healing on a
+	// schedule.
 	{
-		Name:        "partition",
-		Description: "one node symmetrically cut off from every peer, healing on a schedule",
-		HealAfter:   400 * time.Millisecond,
+		Name:      "partition",
+		HealAfter: 400 * time.Millisecond,
 		apply: func(p *Plan, nodes []string) {
 			v := victim(p, "partition", nodes)
 			for _, n := range nodes {
@@ -100,9 +99,9 @@ var Scenarios = []Scenario{
 			}
 		},
 	},
+	// Mild uniform latency plus one node on a slow disk (2ms per fsync).
 	{
-		Name:        "high-load",
-		Description: "mild uniform latency plus one node on a slow disk (2ms per fsync)",
+		Name: "high-load",
 		apply: func(p *Plan, nodes []string) {
 			pairs(nodes, func(src, dst string) {
 				p.SetRule(src, dst, Rule{Latency: 500 * time.Microsecond, Jitter: 250 * time.Microsecond})
@@ -129,13 +128,4 @@ func Lookup(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
-}
-
-// MustLookup resolves a scenario by name or returns a listing error.
-func MustLookup(name string) (Scenario, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return Scenario{}, fmt.Errorf("chaos: unknown scenario %q (have %v)", name, Names())
-	}
-	return s, nil
 }

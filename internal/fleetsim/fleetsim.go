@@ -213,9 +213,9 @@ func newCohort(spec CohortSpec, seed int64, base int, lo, hi units.Celsius, sigm
 	}
 	n := spec.Devices
 
-	// Population draws replay cmd/crowdload's order: corners first, then
-	// one ambient per device, from a per-cohort source named after the
-	// model so adding a cohort never shifts another's draws.
+	// Population draws come corners first, then one ambient per device,
+	// from a per-cohort source named after the model so adding a cohort
+	// never shifts another's draws.
 	src := sim.NewSource(seed, "fleet:"+model.Name)
 	lottery := silicon.Lottery{Sigma: sigma, Bins: model.SoC.Bins, BinNoise: binNoise}
 	corners, err := lottery.Draw(src, n)

@@ -17,7 +17,7 @@ import (
 // TestGoldenBitIdentity is the package's referee: a 1-device fleet must
 // produce a byte-identical trace, score, cooldown readings and energy
 // total to a device.Device driven through the accubench runner with the
-// wild quick schedule — the exact path cmd/crowdload's per-device mode
+// wild quick schedule — the exact path crowd.WildDevice.Benchmark
 // takes. Any drift in the batched stepper's floating-point op order
 // breaks this test. Both scheme families are pinned: a static-table quad
 // (Nexus 5, memoized voltages hit every plateau step) and an RBCPR

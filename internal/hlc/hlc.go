@@ -40,10 +40,10 @@ const MaxLogical = 1<<16 - 1
 // EncodedSize is the byte length of an encoded timestamp.
 const EncodedSize = 8
 
-// DefaultMaxDrift is how far into the future a remote stamp may pull the
-// clock before Update clamps it — the drift clamp that keeps one node
-// with a broken wall clock from poisoning the whole cluster's stamps.
-const DefaultMaxDrift = 500 * time.Millisecond
+// MaxDrift is how far into the future a remote stamp may pull the clock
+// before Update clamps it — the drift clamp that keeps one node with a
+// broken wall clock from poisoning the whole cluster's stamps.
+const MaxDrift = 500 * time.Millisecond
 
 // Timestamp is one hybrid-logical-clock reading. The zero value means
 // "unstamped". Ordering is lexicographic (Wall, Logical) — exactly the
@@ -151,24 +151,20 @@ func (m *Manual) Advance(d time.Duration) time.Time {
 // Clock is one node's hybrid logical clock. All methods are safe for
 // concurrent use. The zero value is not usable; use NewClock.
 type Clock struct {
-	mu       sync.Mutex
-	last     Timestamp
-	now      func() time.Time
-	maxDrift time.Duration
-	clamped  uint64
+	mu      sync.Mutex
+	last    Timestamp
+	now     func() time.Time
+	clamped uint64
 }
 
 // NewClock creates a clock reading physical time from now (time.Now when
-// nil) and clamping remote stamps more than maxDrift ahead of physical
-// time (DefaultMaxDrift when <= 0).
-func NewClock(now func() time.Time, maxDrift time.Duration) *Clock {
+// nil) and clamping remote stamps more than MaxDrift ahead of physical
+// time.
+func NewClock(now func() time.Time) *Clock {
 	if now == nil {
 		now = time.Now
 	}
-	if maxDrift <= 0 {
-		maxDrift = DefaultMaxDrift
-	}
-	return &Clock{now: now, maxDrift: maxDrift}
+	return &Clock{now: now}
 }
 
 // tickLocked advances last to a stamp strictly after both the clock's
@@ -224,7 +220,7 @@ func (c *Clock) Now() Timestamp {
 func (c *Clock) Update(remote Timestamp) Timestamp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	limit := c.now().Add(c.maxDrift).UnixMilli()
+	limit := c.now().Add(MaxDrift).UnixMilli()
 	if remote.Wall > limit {
 		remote = Timestamp{Wall: limit, Logical: MaxLogical}
 		c.clamped++
@@ -241,8 +237,8 @@ func (c *Clock) Last() Timestamp {
 }
 
 // Clamped returns how many remote stamps the drift clamp has truncated —
-// nonzero means some peer's wall clock is running ahead by more than the
-// configured drift bound.
+// nonzero means some peer's wall clock is running ahead by more than
+// MaxDrift.
 func (c *Clock) Clamped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 
 func TestNowStrictlyMonotonicWithinMillisecond(t *testing.T) {
 	phys := NewManual(time.UnixMilli(1_000_000))
-	c := NewClock(phys.Now, 0)
+	c := NewClock(phys.Now)
 	prev := c.Now()
 	for i := 0; i < 1000; i++ {
 		next := c.Now()
@@ -28,7 +28,7 @@ func TestNowStrictlyMonotonicWithinMillisecond(t *testing.T) {
 
 func TestNowSurvivesPhysicalRegression(t *testing.T) {
 	phys := NewManual(time.UnixMilli(5_000_000))
-	c := NewClock(phys.Now, 0)
+	c := NewClock(phys.Now)
 	before := c.Now()
 	// NTP steps the wall clock back a full minute.
 	phys.Set(time.UnixMilli(5_000_000 - 60_000))
@@ -49,7 +49,7 @@ func TestNowSurvivesPhysicalRegression(t *testing.T) {
 
 func TestManualAdvance(t *testing.T) {
 	phys := NewManual(time.UnixMilli(9_000_000))
-	c := NewClock(phys.Now, 0)
+	c := NewClock(phys.Now)
 	first := c.Now()
 	if got := phys.Advance(250 * time.Millisecond); got != time.UnixMilli(9_000_250) {
 		t.Fatalf("Advance returned %v, want 9000250ms", got)
@@ -65,7 +65,7 @@ func TestManualAdvance(t *testing.T) {
 
 func TestUpdateMergesRemoteStamp(t *testing.T) {
 	phys := NewManual(time.UnixMilli(2_000_000))
-	c := NewClock(phys.Now, time.Hour)
+	c := NewClock(phys.Now)
 	remote := Timestamp{Wall: 2_000_050, Logical: 7}
 	got := c.Update(remote)
 	if !remote.Before(got) {
@@ -87,7 +87,7 @@ func TestUpdateMergesRemoteStamp(t *testing.T) {
 // millisecond.
 func TestUpdateClampsRunawayRemote(t *testing.T) {
 	phys := NewManual(time.UnixMilli(3_000_000))
-	c := NewClock(phys.Now, 500*time.Millisecond)
+	c := NewClock(phys.Now)
 	remote := Timestamp{Wall: 3_000_000 + 3_600_000, Logical: 0} // one hour ahead
 	got := c.Update(remote)
 	want := Timestamp{Wall: 3_000_501, Logical: 0}
@@ -109,7 +109,7 @@ func TestUpdateClampsRunawayRemote(t *testing.T) {
 
 func TestLogicalOverflowRollsWallForward(t *testing.T) {
 	phys := NewManual(time.UnixMilli(4_000_000))
-	c := NewClock(phys.Now, 0)
+	c := NewClock(phys.Now)
 	got := c.Update(Timestamp{Wall: 4_000_000, Logical: MaxLogical})
 	if got.Wall != 4_000_001 || got.Logical != 0 {
 		t.Fatalf("logical overflow produced %v, want wall rolled to 4000001.0", got)
@@ -121,7 +121,7 @@ func TestConcurrentStampsAreUnique(t *testing.T) {
 	// the same millisecond, so uniqueness rides entirely on the logical
 	// counter discipline.
 	phys := NewManual(time.UnixMilli(6_000_000))
-	c := NewClock(phys.Now, 0)
+	c := NewClock(phys.Now)
 	const goroutines, per = 8, 500
 	stamps := make([][]Timestamp, goroutines)
 	var wg sync.WaitGroup

@@ -23,8 +23,6 @@ type ReplicationMetrics struct {
 	ApplyDups *Counter
 	// Forwarded counts submissions proxied to their shard primary.
 	Forwarded *Counter
-	// Redirected counts submissions answered with a 307 to the primary.
-	Redirected *Counter
 	// IngestFallback counts submissions ingested locally because the
 	// shard primary was unreachable.
 	IngestFallback *Counter
@@ -70,7 +68,6 @@ func NewReplicationMetrics(reg *Registry) *ReplicationMetrics {
 		Applied:          reg.Counter("repl_applied_total", "remote records committed locally"),
 		ApplyDups:        reg.Counter("repl_apply_dups_total", "remote records skipped as already held"),
 		Forwarded:        reg.Counter("repl_forwarded_total", "submissions proxied to their shard primary"),
-		Redirected:       reg.Counter("repl_redirected_total", "submissions 307-redirected to their shard primary"),
 		IngestFallback:   reg.Counter("repl_ingest_fallback_total", "submissions ingested locally with the primary unreachable"),
 		ForwardBodyFails: reg.Counter("repl_forward_body_failures_total", "proxied submissions whose response relay broke mid-body (answered with a 307 to the primary)"),
 		AckTimeouts:      reg.Counter("repl_ack_timeouts_total", "commits whose replica acknowledgement timed out"),

@@ -74,9 +74,6 @@ type Config struct {
 	// 0 (or anything beyond the membership) means full replication:
 	// every node holds every model and any node's bins are complete.
 	Replicas int
-	// VNodes is the ring's virtual-node count per node (DefaultVNodes
-	// when 0).
-	VNodes int
 	// Clock is the node's hybrid logical clock.
 	Clock *hlc.Clock
 	// Store is the node's record store, used for digests and reconcile
@@ -156,7 +153,7 @@ func New(cfg Config) (*Replicator, error) {
 	}
 	r := &Replicator{
 		cfg:      cfg,
-		ring:     NewRing(nodes, cfg.VNodes),
+		ring:     NewRing(nodes),
 		met:      met,
 		client:   client,
 		shippers: make(map[string]*shipper, len(cfg.Peers)),

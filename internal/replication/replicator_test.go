@@ -23,7 +23,7 @@ func newNode(t *testing.T, id string, peers map[string]string, tweak func(*Confi
 	cfg := Config{
 		NodeID: id,
 		Peers:  peers,
-		Clock:  hlc.NewClock(nil, 0),
+		Clock:  hlc.NewClock(nil),
 		Store:  st,
 		Apply: func(recs []*store.Record) error {
 			for _, rec := range recs {

@@ -24,14 +24,14 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is how many virtual points each node contributes to the
-// ring. More points smooth the key balance; 64 keeps the worst node
-// within a few tens of percent of the mean for small clusters while the
-// ring stays tiny.
-const DefaultVNodes = 64
+// VNodes is how many virtual points each node contributes to the ring.
+// More points smooth the key balance; 64 keeps the worst node within a
+// few tens of percent of the mean for small clusters while the ring
+// stays tiny.
+const VNodes = 64
 
 // Ring is an immutable consistent-hash ring mapping shard keys (device
-// model names) to node IDs. Each node appears vnodes times at
+// model names) to node IDs. Each node appears VNodes times at
 // pseudo-random points on a 64-bit circle; a key is owned by the first
 // node point at or clockwise of the key's hash. Immutability makes
 // membership changes explicit derivations (WithNode, WithoutNode) and
@@ -39,7 +39,6 @@ const DefaultVNodes = 64
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  []string    // sorted, distinct
-	vnodes int
 }
 
 type ringPoint struct {
@@ -47,13 +46,9 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring over the given node IDs with vnodes virtual
-// points per node (DefaultVNodes when <= 0). Duplicate node IDs
-// collapse.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring over the given node IDs with VNodes virtual
+// points per node. Duplicate node IDs collapse.
+func NewRing(nodes []string) *Ring {
 	distinct := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -65,12 +60,11 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	}
 	sort.Strings(distinct)
 	r := &Ring{
-		points: make([]ringPoint, 0, len(distinct)*vnodes),
+		points: make([]ringPoint, 0, len(distinct)*VNodes),
 		nodes:  distinct,
-		vnodes: vnodes,
 	}
 	for _, n := range distinct {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < VNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hashKey(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
@@ -147,7 +141,7 @@ func (r *Ring) ReplicaSet(key string, n int) []string {
 // now owns move; everything else keeps its owner — the consistent-hash
 // contract that keeps a membership change from reshuffling the cluster.
 func (r *Ring) WithNode(node string) *Ring {
-	return NewRing(append(r.Nodes(), node), r.vnodes)
+	return NewRing(append(r.Nodes(), node))
 }
 
 // WithoutNode derives a ring with node removed; only that node's keys
@@ -159,5 +153,5 @@ func (r *Ring) WithoutNode(node string) *Ring {
 			rest = append(rest, n)
 		}
 	}
-	return NewRing(rest, r.vnodes)
+	return NewRing(rest)
 }

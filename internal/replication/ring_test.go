@@ -17,7 +17,7 @@ func keys(n int) []string {
 // 3 nodes and 1000 keys no node owns less than half or more than double
 // its fair share.
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r := NewRing([]string{"n1", "n2", "n3"})
 	counts := map[string]int{}
 	ks := keys(1000)
 	for _, k := range ks {
@@ -34,7 +34,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingMinimalReassignment is the consistent-hashing contract: a
 // membership change only moves keys touching the changed node.
 func TestRingMinimalReassignment(t *testing.T) {
-	base := NewRing([]string{"n1", "n2", "n3"}, 0)
+	base := NewRing([]string{"n1", "n2", "n3"})
 	ks := keys(1000)
 
 	grown := base.WithNode("n4")
@@ -69,8 +69,8 @@ func TestRingMinimalReassignment(t *testing.T) {
 // same membership agree on every owner — nodes can compute routing
 // locally with no coordination.
 func TestRingOwnerDeterministic(t *testing.T) {
-	a := NewRing([]string{"n3", "n1", "n2"}, 0)
-	b := NewRing([]string{"n2", "n2", "n1", "n3", ""}, 0)
+	a := NewRing([]string{"n3", "n1", "n2"})
+	b := NewRing([]string{"n2", "n2", "n1", "n3", ""})
 	for _, k := range keys(200) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("rings over identical membership disagree on %s: %s vs %s", k, a.Owner(k), b.Owner(k))
@@ -79,7 +79,7 @@ func TestRingOwnerDeterministic(t *testing.T) {
 }
 
 func TestReplicaSet(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r := NewRing([]string{"n1", "n2", "n3"})
 	for _, k := range keys(50) {
 		set := r.ReplicaSet(k, 2)
 		if len(set) != 2 {
@@ -106,7 +106,7 @@ func TestReplicaSet(t *testing.T) {
 // membership will rely on: a join moves roughly the joiner's fair share
 // of keys — not just "fewer than half".
 func TestRingJoinMovesFairShare(t *testing.T) {
-	base := NewRing([]string{"n1", "n2", "n3"}, 0)
+	base := NewRing([]string{"n1", "n2", "n3"})
 	ks := keys(2000)
 	grown := base.WithNode("n4")
 	moved := 0
@@ -142,7 +142,7 @@ func TestRingBalanceAfterMembershipChange(t *testing.T) {
 			}
 		}
 	}
-	base := NewRing([]string{"n1", "n2", "n3"}, 0)
+	base := NewRing([]string{"n1", "n2", "n3"})
 	assertBalanced(base.WithNode("n4"), "after join of n4")
 	assertBalanced(base.WithoutNode("n2"), "after leave of n2")
 	// A join then a leave of the same node routes identically to never
@@ -164,7 +164,7 @@ func TestRingBalanceAfterMembershipChange(t *testing.T) {
 }
 
 func TestEmptyRing(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if r.Owner("anything") != "" || r.ReplicaSet("anything", 3) != nil || r.Len() != 0 {
 		t.Fatal("empty ring must own nothing")
 	}

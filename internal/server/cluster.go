@@ -16,17 +16,6 @@ import (
 	"accubench/internal/store"
 )
 
-// Route modes for submissions arriving at a node that is not the
-// model's shard primary.
-const (
-	// RouteProxy forwards the upload to the primary server-side and
-	// relays its response — clients never learn the topology.
-	RouteProxy = "proxy"
-	// RouteRedirect answers 307 with the primary's URL — cheaper for the
-	// node, needs redirect-following clients.
-	RouteRedirect = "redirect"
-)
-
 // forwardedHeader marks a proxied submission so the receiving node
 // ingests it instead of routing again — two nodes with transiently
 // different ring views must not bounce an upload between them.
@@ -44,11 +33,6 @@ type ClusterConfig struct {
 	// Replicas is each model's replica-set size, primary included; 0
 	// means full replication (every node serves complete bins).
 	Replicas int
-	// VNodes is the ring's virtual-node count per node.
-	VNodes int
-	// RouteMode is how non-primary nodes handle submissions: RouteProxy
-	// (default) or RouteRedirect.
-	RouteMode string
 	// AckTimeout bounds how long a submission's 202 waits for one
 	// replica acknowledgement after the local durable commit.
 	AckTimeout time.Duration
@@ -59,9 +43,6 @@ type ClusterConfig struct {
 	// SnapshotGap is the reconcile pull size that counts as snapshot
 	// catch-up.
 	SnapshotGap int
-	// MaxDrift is the HLC drift clamp for remote stamps
-	// (hlc.DefaultMaxDrift when 0).
-	MaxDrift time.Duration
 	// Client, when non-nil, carries all peer HTTP traffic — submission
 	// proxying, replication shipping, and anti-entropy pulls. The
 	// injection seam internal/chaos threads its fault-plan RoundTripper
@@ -138,7 +119,7 @@ func (s *Server) initCluster() error {
 	if cc.NodeID == "" {
 		return errors.New("server: cluster config needs a NodeID")
 	}
-	s.clock = hlc.NewClock(cc.Now, cc.MaxDrift)
+	s.clock = hlc.NewClock(cc.Now)
 	s.rmet = obs.NewReplicationMetrics(s.reg)
 	var base ingest.Committer
 	if s.pers != nil {
@@ -153,7 +134,6 @@ func (s *Server) initCluster() error {
 		NodeID:            cc.NodeID,
 		Peers:             cc.Peers,
 		Replicas:          cc.Replicas,
-		VNodes:            cc.VNodes,
 		Clock:             s.clock,
 		Store:             s.store,
 		Apply:             s.committer.CommitBatch,
@@ -180,23 +160,17 @@ func (s *Server) registerClusterRoutes() {
 	s.route("GET /v1/digest", s.handleDigest)
 }
 
-// handleClusterSubmit is the cluster-mode submission path: route the
-// upload to its shard primary (or ingest here if we are it, the primary
+// handleClusterSubmit is the cluster-mode submission path: proxy the
+// upload to its shard primary and relay the answer, so clients never
+// learn the topology (or ingest here if we are the primary, the primary
 // is down, or the upload was already forwarded once), and acknowledge
 // only after the record is durable locally AND held by at least one
 // replica — the property that makes an acknowledged submission survive
 // any single node kill.
 func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request, body []byte) {
-	cc := s.cfg.Cluster
 	model := peekModel(body)
 	if model != "" && !s.repl.IsPrimary(model) && r.Header.Get(forwardedHeader) == "" {
 		if base, ok := s.repl.PeerURL(s.repl.Primary(model)); ok {
-			if cc.RouteMode == RouteRedirect {
-				s.rmet.Redirected.Inc()
-				w.Header().Set("Location", base+"/v1/submissions")
-				writeJSON(w, http.StatusTemporaryRedirect, submitResponse{Status: "redirect"})
-				return
-			}
 			if s.forwardSubmit(w, base, body) {
 				s.rmet.Forwarded.Inc()
 				return

@@ -292,9 +292,9 @@ func TestClusterReplicatesAndSurvivesKill(t *testing.T) {
 	}
 }
 
-// TestClusterProxyRouting pins proxy mode: a submission posted to a
-// non-primary node is forwarded server-side, acknowledged 202, and the
-// forward shows up in the non-primary's metrics.
+// TestClusterProxyRouting pins non-primary routing: a submission posted
+// to a non-primary node is forwarded server-side, acknowledged 202, and
+// the forward shows up in the non-primary's metrics.
 func TestClusterProxyRouting(t *testing.T) {
 	nodes := startCluster(t, 2, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -312,50 +312,6 @@ func TestClusterProxyRouting(t *testing.T) {
 	if m["crowdd_repl_forwarded_total"] != 1 {
 		t.Errorf("crowdd_repl_forwarded_total on non-primary = %d, want 1", m["crowdd_repl_forwarded_total"])
 	}
-	waitConverged(t, client, nodes, 10*time.Second)
-}
-
-// TestClusterRedirectRouting pins redirect mode: a non-primary node
-// answers 307 with the primary's submissions URL, and the redirected
-// POST commits.
-func TestClusterRedirectRouting(t *testing.T) {
-	nodes := startCluster(t, 2, func(i int, cfg *server.Config) {
-		cfg.Cluster.RouteMode = server.RouteRedirect
-	})
-	client := &http.Client{
-		Timeout:       5 * time.Second,
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-
-	primary := nodes[0].srv.Replicator().Primary("Nexus 5")
-	var primaryNode, nonPrimary *clusterNode
-	for _, node := range nodes {
-		if node.id == primary {
-			primaryNode = node
-		} else {
-			nonPrimary = node
-		}
-	}
-
-	raw := testkit.AcceptedPayload(t, crowd.DefaultPolicy(), "redir-0", 1200, 25)
-	resp := postSubmission(t, client, nonPrimary.url, raw)
-	loc := resp.Header.Get("Location")
-	code := resp.StatusCode
-	drainBody(t, resp)
-	if code != http.StatusTemporaryRedirect {
-		t.Fatalf("POST to non-primary in redirect mode = %d, want 307", code)
-	}
-	want := primaryNode.url + "/v1/submissions"
-	if loc != want {
-		t.Fatalf("redirect Location = %q, want %q", loc, want)
-	}
-	m := scrapeMetrics(t, client, nonPrimary.url)
-	if m["crowdd_repl_redirected_total"] != 1 {
-		t.Errorf("crowdd_repl_redirected_total = %d, want 1", m["crowdd_repl_redirected_total"])
-	}
-
-	// Following the redirect by hand commits on the primary.
-	postAccepted(t, client, primaryNode, "redir-0", 1200)
 	waitConverged(t, client, nodes, 10*time.Second)
 }
 

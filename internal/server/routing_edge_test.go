@@ -62,12 +62,11 @@ func TestForwardedLoopProtection(t *testing.T) {
 		t.Fatalf("forwarded submission to non-primary = %d (%s), want 202 local ingest", code, body)
 	}
 
-	// Ingested here, not routed: no forward, no redirect, and the record
-	// is already in the local store.
+	// Ingested here, not routed: no forward, and the record is already
+	// in the local store.
 	m := scrapeMetrics(t, client, nonPrimary.url)
-	if m["crowdd_repl_forwarded_total"] != 0 || m["crowdd_repl_redirected_total"] != 0 {
-		t.Errorf("forwarded submission was routed again: forwarded=%d redirected=%d",
-			m["crowdd_repl_forwarded_total"], m["crowdd_repl_redirected_total"])
+	if m["crowdd_repl_forwarded_total"] != 0 {
+		t.Errorf("forwarded submission was routed again: forwarded=%d", m["crowdd_repl_forwarded_total"])
 	}
 	devResp, err := client.Get(nonPrimary.url + "/v1/devices/loop-0")
 	if err != nil {

@@ -134,10 +134,12 @@ func TestServerEndToEndSyntheticPopulation(t *testing.T) {
 	}
 
 	// The pipeline drains behind the 202s: both clusters discovered over
-	// the accepted population.
+	// the accepted population. A 202 only means enqueued and the stages
+	// run several workers, so the hot reject, posted last, may be stored
+	// after every accepted upload: wait for it too.
 	waitFor(t, 3*time.Second, "bins to settle", func() bool {
 		for _, mb := range getBins(t, ts) {
-			if mb.Model == model && mb.Accepted == accepted && mb.BinCount == 2 {
+			if mb.Model == model && mb.Accepted == accepted && mb.BinCount == 2 && mb.Submissions == accepted+1 {
 				return true
 			}
 		}
