@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/soc -run '^$$' -fuzz '^FuzzModelCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzSnapshotParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hlc -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replication -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzWireFrameDecode$$' -fuzztime $(FUZZTIME)

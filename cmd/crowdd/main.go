@@ -7,7 +7,7 @@
 // re-binning and no staleness knob (docs/BINNING.md).
 //
 //	crowdd -addr :8077
-//	crowdd -addr :8077 -shards 32 -workers 8 -queue 512 -accept-lo 18 -accept-hi 32
+//	crowdd -addr :8077 -shards 32 -queue 512 -accept-lo 18 -accept-hi 32
 //	crowdd -addr :8077 -data-dir /var/lib/crowdd
 //
 // With -data-dir the submission corpus is durable: uploads commit through
@@ -79,8 +79,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 	var (
 		addr          = fs.String("addr", ":8077", "listen address")
 		shards        = fs.Int("shards", 16, "store shard count")
-		workers       = fs.Int("workers", 4, "ingest workers per pipeline stage")
-		queue         = fs.Int("queue", 256, "ingest queue depth per stage")
+		queue         = fs.Int("queue", 256, "ingest queue depth: JSON uploads admitted but not yet committed")
 		acceptLo      = fs.Float64("accept-lo", float64(policy.AcceptLo), "lowest accepted estimated ambient, °C")
 		acceptHi      = fs.Float64("accept-hi", float64(policy.AcceptHi), "highest accepted estimated ambient, °C")
 		idleBias      = fs.Float64("idle-bias", policy.IdleBias, "idle-floor correction subtracted from estimates, °C")
@@ -118,7 +117,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 
 	scfg := server.Config{
 		Shards:        *shards,
-		Workers:       *workers,
 		QueueDepth:    *queue,
 		Policy:        policy,
 		MaxK:          *maxK,
@@ -190,8 +188,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		go debugSrv.Serve(dln)
 		fmt.Fprintf(stdout, "crowdd: pprof on http://%s/debug/pprof\n", dln.Addr())
 	}
-	fmt.Fprintf(stdout, "crowdd: listening on %s (%d shards, %d workers/stage, queue %d, window [%v, %v])\n",
-		ln.Addr(), *shards, *workers, *queue, policy.AcceptLo, policy.AcceptHi)
+	fmt.Fprintf(stdout, "crowdd: listening on %s (%d shards, queue %d, window [%v, %v])\n",
+		ln.Addr(), *shards, *queue, policy.AcceptLo, policy.AcceptHi)
 	if scfg.Cluster != nil {
 		fmt.Fprintf(stdout, "crowdd: cluster node %s with %d peers (reconcile every %v)\n",
 			scfg.Cluster.NodeID, len(scfg.Cluster.Peers), *reconcile)

@@ -21,6 +21,7 @@ package crowd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -270,42 +271,71 @@ func Run(cfg StudyConfig) (Result, error) {
 
 	// Backend pass 2: normalize scores to the 26 °C reference with the
 	// slope fitted across accepted submissions — ambient is the dominant
-	// confounder even inside the acceptance window.
-	var normScores, accLeaks []float64
-	if len(accIdx) >= 3 {
-		_, slope := stats.LinearFit(accAmbs, accScores)
-		out.AmbientSlope = slope
-		for j, i := range accIdx {
-			s := &out.Submissions[i]
-			s.NormalizedScore = s.Score - slope*(float64(s.EstimatedAmbient)-26)
-			normScores = append(normScores, s.NormalizedScore)
-			accLeaks = append(accLeaks, s.trueLeakage)
-			_ = j
-		}
-	} else {
-		for _, i := range accIdx {
-			s := &out.Submissions[i]
-			s.NormalizedScore = s.Score
-			normScores = append(normScores, s.NormalizedScore)
-			accLeaks = append(accLeaks, s.trueLeakage)
-		}
+	// confounder even inside the acceptance window — and bin them.
+	bins, err := BinScores(accScores, accAmbs, 5)
+	if err != nil {
+		return Result{}, err
 	}
-	if len(normScores) >= 2 {
-		out.RankCorrelation = kendallTau(accLeaks, normScores)
+	out.AmbientSlope = bins.Slope
+	out.Bins = bins.Bins
+	out.BinCount = bins.K
+	accLeaks := make([]float64, len(accIdx))
+	for j, i := range accIdx {
+		out.Submissions[i].NormalizedScore = bins.Normalized[j]
+		accLeaks[j] = out.Submissions[i].trueLeakage
 	}
-	if len(normScores) >= 4 {
-		k, err := cluster.ChooseK(normScores, 5)
-		if err != nil {
-			return Result{}, err
-		}
-		asg, err := cluster.KMeans1D(normScores, k)
-		if err != nil {
-			return Result{}, err
-		}
-		out.Bins = asg
-		out.BinCount = k
+	if len(accIdx) >= 2 {
+		out.RankCorrelation = kendallTau(accLeaks, bins.Normalized)
 	}
 	return out, nil
+}
+
+// MinClusterPop is the smallest accepted population worth clustering.
+const MinClusterPop = 4
+
+// Binning is one accepted population's bins: its scores normalized to
+// the 26 °C reference ambient, then clustered.
+type Binning struct {
+	// Normalized holds the normalized scores, aligned with the input.
+	Normalized []float64
+	// Slope is the fitted score-per-°C slope; zero when the population is
+	// too small or too ambient-uniform to fit.
+	Slope float64
+	// Bins is the cluster assignment over Normalized and K the discovered
+	// bin count; both are zero below MinClusterPop.
+	Bins cluster.Assignment
+	K    int
+}
+
+// BinScores is the backend's binning pass, shared by Run and the crowd
+// service's exact binner. Once 3 scores are accepted and their ambients
+// span more than 0.5 °C, it fits the score-per-°C slope and normalizes
+// every score to 26 °C; an ambient-uniform population leaves the slope
+// unidentifiable and needs no normalization anyway. Once MinClusterPop
+// are accepted, it clusters the normalized scores into at most maxK bins
+// (silhouette-selected k, exact 1-D k-means). On a clustering error the
+// normalization is still returned.
+func BinScores(scores, ambients []float64, maxK int) (Binning, error) {
+	b := Binning{Normalized: append([]float64(nil), scores...)}
+	if len(scores) >= 3 && slices.Max(ambients)-slices.Min(ambients) > 0.5 {
+		_, b.Slope = stats.LinearFit(ambients, scores)
+		for i := range b.Normalized {
+			b.Normalized[i] = scores[i] - b.Slope*(ambients[i]-26)
+		}
+	}
+	if len(scores) < MinClusterPop {
+		return b, nil
+	}
+	k, err := cluster.ChooseK(b.Normalized, maxK)
+	if err != nil {
+		return b, err
+	}
+	asg, err := cluster.KMeans1D(b.Normalized, k)
+	if err != nil {
+		return b, err
+	}
+	b.Bins, b.K = asg, k
+	return b, nil
 }
 
 // kendallTau computes Kendall's rank correlation between xs and ys.

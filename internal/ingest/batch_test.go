@@ -25,26 +25,14 @@ func batchSub(device string, score, amb float64) Submission {
 	return sub
 }
 
-// recordingBatchCommitter implements both Committer and BatchCommitter,
-// counting calls and optionally failing, over a backing store.
+// recordingBatchCommitter is a Committer that counts its calls and
+// optionally fails, over a backing store.
 type recordingBatchCommitter struct {
 	st          *store.Store
 	mu          sync.Mutex
-	commits     int
 	batches     int
 	batchSizes  []int
 	failBatches bool
-}
-
-func (c *recordingBatchCommitter) Commit(r *store.Record) (uint64, error) {
-	c.mu.Lock()
-	c.commits++
-	c.mu.Unlock()
-	seq, err := c.st.Put(*r)
-	if err == nil {
-		r.Seq = seq
-	}
-	return seq, err
 }
 
 func (c *recordingBatchCommitter) CommitBatch(recs []*store.Record) error {
@@ -69,7 +57,7 @@ func (c *recordingBatchCommitter) CommitBatch(recs []*store.Record) error {
 // TestSubmitBatchEndToEnd drives a mixed batch — accepts, a reject, an
 // invalid entry — through the inline batch path and asserts the result
 // accounting, the store contents, and the counter conservation laws
-// shared with the staged pipeline.
+// shared with the queued JSON path.
 func TestSubmitBatchEndToEnd(t *testing.T) {
 	st := store.New(4)
 	p := newPipeline(t, st)
@@ -113,9 +101,9 @@ func TestSubmitBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchGroupCommit asserts the batch path prefers the
-// BatchCommitter seam: one CommitBatch call for the whole batch, zero
-// per-record commits, and wal_appended advancing by the batch size.
+// TestSubmitBatchGroupCommit asserts the batch path's group commit: one
+// CommitBatch call for the whole batch, and wal_appended advancing by the
+// batch size.
 func TestSubmitBatchGroupCommit(t *testing.T) {
 	st := store.New(4)
 	bc := &recordingBatchCommitter{st: st}
@@ -134,9 +122,9 @@ func TestSubmitBatchGroupCommit(t *testing.T) {
 	if len(res.Records) != len(subs) {
 		t.Fatalf("committed %d of %d", len(res.Records), len(subs))
 	}
-	if bc.batches != 1 || bc.commits != 0 || bc.batchSizes[0] != len(subs) {
-		t.Errorf("group commit = %d batches (%v) + %d singles, want one batch of %d",
-			bc.batches, bc.batchSizes, bc.commits, len(subs))
+	if bc.batches != 1 || bc.batchSizes[0] != len(subs) {
+		t.Errorf("group commit = %d batches (%v), want one batch of %d",
+			bc.batches, bc.batchSizes, len(subs))
 	}
 	if c := p.Counters(); c.WALAppended != uint64(len(subs)) || c.WALFailed != 0 {
 		t.Errorf("wal counters = appended %d, failed %d; want %d, 0", c.WALAppended, c.WALFailed, len(subs))

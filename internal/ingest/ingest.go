@@ -1,26 +1,27 @@
-// Package ingest is the crowd backend's submission pipeline: a bounded,
-// staged worker pool that turns raw upload bytes into stored, filtered
-// records.
+// Package ingest is the crowd backend's submission engine. Every upload
+// reaches the store the same way:
 //
-// The pipeline has three stages connected by bounded channels:
-//
-//	decode   — parse and validate the JSON wire format
+//	decode   — parse and validate the wire format (a stream frame arrives
+//	           pre-parsed, so for it this is validation alone)
 //	evaluate — estimate the ambient from the cooldown trace (Aitken
 //	           extrapolation via crowd.Policy) and apply the strict filters
-//	store    — commit the verdict (WAL append + fsync first, when
-//	           durability is configured) and land it in the sharded
-//	           store, whose commit also updates the model's sketch
+//	commit   — group-commit the batch's verdicts through the Committer
+//	           (one WAL append + fsync, then one store pass per shard,
+//	           which also updates each model's sketch)
 //
-// Each stage runs its own worker pool; an upload occupies exactly one
-// worker per stage, so slow evaluation of one submission never blocks
-// decoding of the next. The channels are bounded, which gives the HTTP
-// layer natural backpressure: Submit blocks (up to its context deadline)
-// when the pipeline is saturated instead of queueing without limit.
+// Three front doors feed that path. SubmitBatch runs a batch of decoded
+// submissions inline: the binary stream route and cluster batches.
+// SubmitWait decodes one JSON upload and commits it inline: the cluster
+// JSON route. Submit admits one JSON upload into a queue bounded by
+// QueueDepth and returns at once, blocking only while the queue is full
+// (the HTTP layer's backpressure); a fixed set of group committers
+// drains the queue, each decoding whatever is queued and committing it
+// as one batch.
 //
-// Shutdown is graceful by default: Close stops intake, lets every enqueued
-// submission drain through all three stages, then returns. Cancelling the
-// Start context instead aborts promptly, dropping queued items (counted,
-// never silent).
+// Shutdown is graceful by default: Close stops intake and commits every
+// admitted upload before it returns. Cancelling the Start context
+// instead aborts promptly, dropping queued uploads (counted, never
+// silent).
 package ingest
 
 import (
@@ -49,49 +50,53 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // can tell a malformed upload (client error) from a commit failure.
 var ErrBadPayload = errors.New("ingest: bad payload")
 
+// errCommitFailed is SubmitWait's answer when its upload's commit failed.
+var errCommitFailed = errors.New("ingest: commit failed")
+
 // Config parameterizes a Pipeline.
 type Config struct {
-	// Workers is the per-stage worker count (DefaultWorkers if <= 0).
-	Workers int
-	// QueueDepth is the capacity of each inter-stage channel
-	// (DefaultQueueDepth if <= 0). Total in-flight bound is
-	// 3*QueueDepth + 3*Workers.
+	// QueueDepth bounds Submit's queue of admitted JSON uploads
+	// (DefaultQueueDepth if <= 0); a committer's group is at most this
+	// many uploads.
 	QueueDepth int
 	// Policy is the per-submission acceptance policy.
 	Policy crowd.Policy
 	// Store receives the verdicts. Required.
 	Store *store.Store
-	// WAL, when non-nil, makes the store stage durable: every record is
-	// committed — appended to the write-ahead log and fsynced, then
-	// inserted into the store with its log-assigned sequence number —
-	// instead of stored directly. This is the append-before-store commit
-	// point: a record is never visible without being durable.
+	// WAL, when non-nil, makes every commit durable: a batch is appended
+	// to the write-ahead log and fsynced, then inserted into the store
+	// with its log-assigned sequence numbers, instead of stored directly.
+	// This is the append-before-store commit point: a record is never
+	// visible without being durable.
 	WAL Committer
 	// Obs is the metrics registry the pipeline's counters and per-stage
 	// latency histograms register in. Nil gets a private registry, so
 	// the pipeline is always instrumented; pass the service's registry
 	// to expose the metrics on its scrape surface.
 	Obs *obs.Registry
-	// Tracer, when non-nil and enabled, emits one span per stage per
-	// submission (decode, filter, wal_append, store), correlated by a
-	// trace ID assigned at Submit — the reconstructible per-upload
-	// timeline behind crowdd's -trace flag.
+	// Tracer, when non-nil and enabled, emits one span per stage per JSON
+	// upload (decode, filter, wal_append, store), correlated by a trace
+	// ID assigned on admission — the reconstructible per-upload timeline
+	// behind crowdd's -trace flag.
 	Tracer *obs.Tracer
 }
 
-// Committer is the durability hook the store stage calls when a WAL is
-// configured. Commit must make the record durable and visible in the
-// store (setting its Seq) before returning; internal/wal.Persister is the
+// Committer is the durability point every commit goes through when a
+// WAL is configured. CommitBatch must make the whole batch durable and
+// visible in the store, setting each record's Seq, before it returns; a
+// failed CommitBatch drops the whole batch. internal/wal.Persister is the
 // production implementation.
 type Committer interface {
-	Commit(r *store.Record) (uint64, error)
+	CommitBatch(recs []*store.Record) error
 }
 
-// DefaultWorkers is the per-stage worker count for Config.Workers <= 0.
-const DefaultWorkers = 4
-
-// DefaultQueueDepth is the channel capacity for Config.QueueDepth <= 0.
+// DefaultQueueDepth is the queue capacity for Config.QueueDepth <= 0.
 const DefaultQueueDepth = 256
+
+// committers is how many group committers drain Submit's queue. An
+// upload that arrives while one committer waits for its fsync is taken
+// by another, instead of waiting out that fsync and then its own.
+const committers = 4
 
 // Counters is a snapshot of the pipeline's per-stage counters. The flow
 // invariant after a graceful Close is
@@ -176,81 +181,49 @@ func (c *counters) snapshot() Counters {
 	}
 }
 
-// rawUpload, decodedSub and verdict are the inter-stage envelopes: the
-// payload plus the submission's trace ID (empty when tracing is off) and,
-// for SubmitWait uploads, the completion channel every terminal path must
-// resolve.
+// rawUpload is one admitted JSON upload: the payload plus its trace ID
+// (empty when tracing is off).
 type rawUpload struct {
 	raw   []byte
 	trace string
-	done  chan<- submitResult
 }
 
-type decodedSub struct {
-	sub   Submission
-	trace string
-	done  chan<- submitResult
-}
-
-type verdict struct {
-	rec   store.Record
-	trace string
-	done  chan<- submitResult
-}
-
-// submitResult is what a SubmitWait upload resolves to: the committed
-// record (local sequence number assigned) or the error that dropped it.
-type submitResult struct {
-	rec store.Record
-	err error
-}
-
-// resolve completes a SubmitWait upload. The channel is buffered and
-// receives exactly one send, so this never blocks a worker.
-func resolve(done chan<- submitResult, rec store.Record, err error) {
-	if done != nil {
-		done <- submitResult{rec: rec, err: err}
-	}
-}
-
-// Pipeline is the staged ingestion worker pool. Create with New, launch
-// with Start, feed with Submit, and stop with Close.
+// Pipeline is the ingest engine. Create with New, launch with Start,
+// feed with Submit, SubmitWait or SubmitBatch, and stop with Close.
 type Pipeline struct {
 	cfg Config
 
-	raw       chan rawUpload
-	decoded   chan decodedSub
-	evaluated chan verdict
+	// queue holds admitted JSON uploads until a group committer takes
+	// them.
+	queue chan rawUpload
 
 	ctr    counters
 	tracer *obs.Tracer
 	// Per-stage latency histograms (ingest_stage_seconds), resolved once
-	// so workers skip the vec lookup.
+	// so commits skip the vec lookup.
 	decodeDur, filterDur, walDur, storeDur *obs.Histogram
 
-	// Intake gate: Submit registers in submitters under mu; Close flips
-	// closed, waits for registered submitters to finish, then closes raw.
+	// Intake gate: every front door registers in submitters under mu;
+	// Close flips closed, waits for registered callers to finish, then
+	// closes queue.
 	mu         sync.Mutex
 	closed     bool
 	submitters sync.WaitGroup
 
 	stop      chan struct{} // closed on hard abort (Start ctx cancelled)
 	stopOnce  sync.Once
-	drained   chan struct{} // closed when the store stage finishes
+	drained   chan struct{} // closed when every group committer has exited
 	closeOnce sync.Once
 	started   atomic.Bool
 }
 
-// New creates a pipeline. Start must be called before Submit.
+// New creates a pipeline. Nothing drains Submit's queue until Start.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("ingest: config needs a store")
 	}
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -265,9 +238,7 @@ func New(cfg Config) (*Pipeline, error) {
 		"per-stage submission latency", "stage", obs.DurationBuckets)
 	return &Pipeline{
 		cfg:       cfg,
-		raw:       make(chan rawUpload, cfg.QueueDepth),
-		decoded:   make(chan decodedSub, cfg.QueueDepth),
-		evaluated: make(chan verdict, cfg.QueueDepth),
+		queue:     make(chan rawUpload, cfg.QueueDepth),
 		ctr:       newCounters(cfg.Obs),
 		tracer:    cfg.Tracer,
 		decodeDur: stageDur.With("decode"),
@@ -279,27 +250,20 @@ func New(cfg Config) (*Pipeline, error) {
 	}, nil
 }
 
-// Start launches the stage workers. Cancelling ctx hard-aborts the
-// pipeline: intake closes, queued items are dropped (counted in Aborted)
-// and workers exit. For a graceful drain use Close instead.
+// Start launches the group committers. Cancelling ctx hard-aborts the
+// pipeline: intake closes, queued uploads are dropped (counted in
+// Aborted) and the committers exit. For a graceful drain use Close
+// instead.
 func (p *Pipeline) Start(ctx context.Context) {
 	if !p.started.CompareAndSwap(false, true) {
 		return
 	}
-	var decodeWG, evalWG, storeWG sync.WaitGroup
-	for i := 0; i < p.cfg.Workers; i++ {
-		decodeWG.Add(1)
-		go func() { defer decodeWG.Done(); p.decodeWorker() }()
-		evalWG.Add(1)
-		go func() { defer evalWG.Done(); p.evaluateWorker() }()
-		storeWG.Add(1)
-		go func() { defer storeWG.Done(); p.storeWorker() }()
+	var wg sync.WaitGroup
+	for range committers {
+		wg.Add(1)
+		go func() { defer wg.Done(); p.groupCommitter() }()
 	}
-	// Stage cascade: when a stage's intake closes and its workers finish,
-	// close the next stage's intake.
-	go func() { decodeWG.Wait(); close(p.decoded) }()
-	go func() { evalWG.Wait(); close(p.evaluated) }()
-	go func() { storeWG.Wait(); close(p.drained) }()
+	go func() { wg.Wait(); close(p.drained) }()
 	// Hard abort on context cancellation.
 	go func() {
 		select {
@@ -310,46 +274,48 @@ func (p *Pipeline) Start(ctx context.Context) {
 	}()
 }
 
-// abort stops intake and signals workers to drop queued items.
+// abort signals the committers to drop queued uploads and closes
+// intake off the caller's goroutine: callers blocked in Submit unblock
+// via p.stop, and the queue closes once they have returned.
 func (p *Pipeline) abort() {
 	p.stopOnce.Do(func() { close(p.stop) })
-	p.closeIntake(false)
+	go p.closeIntake()
 }
 
-// closeIntake stops Submit and closes the raw channel once no Submit is
-// mid-send. When wait is true it blocks until in-flight Submits return.
-func (p *Pipeline) closeIntake(wait bool) {
+// closeIntake stops every front door, waits until no caller is inside
+// one, then closes the queue.
+func (p *Pipeline) closeIntake() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
-	if wait {
-		p.submitters.Wait()
-		p.closeOnce.Do(func() { close(p.raw) })
-		return
-	}
-	// Hard path: submitters unblock via p.stop; close raw after they
-	// return, off the caller's goroutine.
-	go func() {
-		p.submitters.Wait()
-		p.closeOnce.Do(func() { close(p.raw) })
-	}()
+	p.submitters.Wait()
+	p.closeOnce.Do(func() { close(p.queue) })
 }
 
-// Submit feeds one raw upload into the pipeline. It blocks while the
-// intake queue is full — backpressure — until ctx expires or the pipeline
-// shuts down. The bytes are owned by the pipeline afterwards.
-func (p *Pipeline) Submit(ctx context.Context, raw []byte) error {
+// admit registers a caller at the intake gate, or reports false once
+// intake has closed. An admitted caller calls p.submitters.Done on its
+// way out.
+func (p *Pipeline) admit() bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
+		return false
 	}
 	p.submitters.Add(1)
-	p.mu.Unlock()
-	defer p.submitters.Done()
+	return true
+}
 
+// Submit admits one raw JSON upload into the queue. It blocks while the
+// queue is full — backpressure — until ctx expires or the pipeline shuts
+// down. A nil error means admitted: a group committer decodes and
+// commits it later. The bytes are owned by the pipeline afterwards.
+func (p *Pipeline) Submit(ctx context.Context, raw []byte) error {
+	if !p.admit() {
+		return ErrClosed
+	}
+	defer p.submitters.Done()
 	select {
-	case p.raw <- rawUpload{raw: raw, trace: p.tracer.NewTrace()}:
+	case p.queue <- rawUpload{raw: raw, trace: p.tracer.NewTrace()}:
 		p.ctr.received.Inc()
 		return nil
 	case <-p.stop:
@@ -359,48 +325,39 @@ func (p *Pipeline) Submit(ctx context.Context, raw []byte) error {
 	}
 }
 
-// SubmitWait feeds one raw upload into the pipeline and blocks until the
-// submission reaches a terminal state: durably committed (the record is
-// returned with its local sequence number), rejected at decode
-// (ErrBadPayload), or dropped by a failed commit or shutdown. This is the
-// cluster ingest path: a node must not acknowledge a submission it could
-// still lose, so the 202 waits for the commit instead of the enqueue.
+// SubmitWait decodes one raw upload and commits it inline. It returns the
+// committed record (local sequence number assigned) once it is durable,
+// ErrBadPayload when the upload does not decode, or the error that
+// dropped it. This is the cluster ingest path: a node must not
+// acknowledge a submission it could still lose.
 func (p *Pipeline) SubmitWait(ctx context.Context, raw []byte) (store.Record, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if !p.admit() {
 		return store.Record{}, ErrClosed
 	}
-	p.submitters.Add(1)
-	p.mu.Unlock()
 	defer p.submitters.Done()
-
-	done := make(chan submitResult, 1)
-	select {
-	case p.raw <- rawUpload{raw: raw, trace: p.tracer.NewTrace(), done: done}:
-		p.ctr.received.Inc()
-	case <-p.stop:
-		return store.Record{}, ErrClosed
-	case <-ctx.Done():
-		return store.Record{}, ctx.Err()
+	p.ctr.received.Inc()
+	u := rawUpload{raw: raw, trace: p.tracer.NewTrace()}
+	t0 := time.Now()
+	sub, err := p.decode(u)
+	p.decodeDur.Observe(time.Since(t0).Seconds())
+	if err != nil {
+		return store.Record{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	select {
-	case res := <-done:
-		return res.rec, res.err
-	case <-ctx.Done():
-		// The upload keeps flowing and will commit or drop on its own;
-		// the caller just stops waiting.
-		return store.Record{}, ctx.Err()
-	case <-p.stop:
-		return store.Record{}, ErrClosed
+	var res BatchResult
+	if err := p.commit(ctx, []Submission{sub}, []string{u.trace}, &res); err != nil {
+		return store.Record{}, err
 	}
+	if len(res.Records) == 0 {
+		return store.Record{}, errCommitFailed
+	}
+	return res.Records[0], nil
 }
 
-// Close gracefully shuts the pipeline down: intake stops (Submit returns
-// ErrClosed), every enqueued submission drains through all stages, then
-// workers exit. Safe to call more than once.
+// Close gracefully shuts the pipeline down: intake stops (every front
+// door returns ErrClosed), every admitted upload commits, then the
+// committers exit. Safe to call more than once.
 func (p *Pipeline) Close() {
-	p.closeIntake(true)
+	p.closeIntake()
 	if p.started.Load() {
 		<-p.drained
 	}
@@ -419,52 +376,162 @@ func (p *Pipeline) aborting() bool {
 	}
 }
 
-func (p *Pipeline) decodeWorker() {
-	for item := range p.raw {
+// groupCommitter drains the queue: it waits for one upload, takes
+// whatever else is queued at that moment, and commits the group as one
+// batch.
+func (p *Pipeline) groupCommitter() {
+	group := make([]rawUpload, 0, p.cfg.QueueDepth)
+	for u := range p.queue {
+		group = append(group[:0], u)
+	more:
+		for len(group) < p.cfg.QueueDepth {
+			select {
+			case u, ok := <-p.queue:
+				if !ok {
+					break more
+				}
+				group = append(group, u)
+			default:
+				break more
+			}
+		}
 		if p.aborting() {
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
-			continue
+			p.ctr.aborted.Add(uint64(len(group)))
+		} else {
+			p.commitGroup(group)
 		}
-		t0 := time.Now()
-		sub, err := Decode(item.raw)
-		dur := time.Since(t0)
-		p.decodeDur.Observe(dur.Seconds())
-		if err != nil {
-			p.ctr.decodeErrors.Inc()
-			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "decode", Err: err}, t0, dur)
-			resolve(item.done, store.Record{}, fmt.Errorf("%w: %v", ErrBadPayload, err))
-			continue
-		}
-		p.ctr.decoded.Inc()
-		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "decode", Device: sub.Device, Model: sub.Model}, t0, dur)
-		select {
-		case p.decoded <- decodedSub{sub: sub, trace: item.trace, done: item.done}:
-		case <-p.stop:
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
-		}
+		clear(group) // release the payloads before the next wait
 	}
 }
 
-func (p *Pipeline) evaluateWorker() {
-	for item := range p.decoded {
-		if p.aborting() {
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
+// commitGroup decodes a group of queued uploads and commits the ones
+// that decode as one batch.
+func (p *Pipeline) commitGroup(group []rawUpload) {
+	subs := make([]Submission, 0, len(group))
+	traces := make([]string, 0, len(group))
+	t0 := time.Now()
+	for _, u := range group {
+		if sub, err := p.decode(u); err == nil {
+			subs = append(subs, sub)
+			traces = append(traces, u.trace)
+		}
+	}
+	p.decodeDur.Observe(time.Since(t0).Seconds())
+	p.commit(context.Background(), subs, traces, &BatchResult{})
+}
+
+// decode parses and validates one JSON upload, counting and tracing the
+// outcome.
+func (p *Pipeline) decode(u rawUpload) (Submission, error) {
+	t0 := time.Now()
+	sub, err := Decode(u.raw)
+	dur := time.Since(t0)
+	if err != nil {
+		p.ctr.decodeErrors.Inc()
+		p.tracer.Emit(obs.Span{Trace: u.trace, Name: "decode", Err: err}, t0, dur)
+		return sub, err
+	}
+	p.ctr.decoded.Inc()
+	p.tracer.Emit(obs.Span{Trace: u.trace, Name: "decode", Device: sub.Device, Model: sub.Model}, t0, dur)
+	return sub, nil
+}
+
+// commit is the one way a submission reaches the store. It evaluates
+// each validated submission, commits the verdicts as one batch — through
+// the WAL's group commit when one is configured — and counts them.
+// Committed records land in res.Records, dropped ones in res.Failed.
+// traces, when non-nil, holds each submission's trace ID for its filter,
+// wal_append and store spans.
+func (p *Pipeline) commit(ctx context.Context, subs []Submission, traces []string, res *BatchResult) error {
+	t0 := time.Now()
+	recs := make([]store.Record, len(subs))
+	for i := range subs {
+		if traces == nil {
+			recs[i] = p.evaluate(subs[i])
 			continue
 		}
-		t0 := time.Now()
-		rec := p.evaluate(item.sub)
-		dur := time.Since(t0)
-		p.filterDur.Observe(dur.Seconds())
-		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "filter", Device: rec.Device, Model: rec.Model}, t0, dur)
-		select {
-		case p.evaluated <- verdict{rec: rec, trace: item.trace, done: item.done}:
-		case <-p.stop:
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
+		ts := time.Now()
+		recs[i] = p.evaluate(subs[i])
+		p.tracer.Emit(obs.Span{Trace: traces[i], Name: "filter", Device: recs[i].Device, Model: recs[i].Model}, ts, time.Since(ts))
+	}
+	p.filterDur.Observe(time.Since(t0).Seconds())
+	if len(recs) == 0 {
+		return nil
+	}
+
+	// A hard shutdown or expired deadline before the commit drops the
+	// batch's survivors, counted — never silently.
+	err := ctx.Err()
+	if p.aborting() {
+		err = ErrClosed
+	}
+	if err != nil {
+		p.ctr.aborted.Add(uint64(len(recs)))
+		res.Failed += len(recs)
+		return err
+	}
+
+	t0 = time.Now()
+	if p.cfg.WAL != nil {
+		// Append-before-store: the batch is fsynced into the log — which
+		// assigns its sequence numbers — before it becomes visible. A
+		// failed commit drops the batch (counted), never stores it:
+		// acceptance must not outrun durability. The wal_append stage
+		// covers the whole commit (fsynced append plus the store insert it
+		// gates); the store stage that follows is the bookkeeping.
+		ptrs := make([]*store.Record, len(recs))
+		for i := range recs {
+			ptrs[i] = &recs[i]
 		}
+		err := p.cfg.WAL.CommitBatch(ptrs)
+		dur := time.Since(t0)
+		p.walDur.Observe(dur.Seconds())
+		p.spans(traces, "wal_append", recs, t0, dur, err)
+		if err != nil {
+			p.ctr.walFailed.Add(uint64(len(recs)))
+			res.Failed += len(recs)
+			return nil
+		}
+		p.ctr.walAppended.Add(uint64(len(recs)))
+		t0 = time.Now()
+	} else {
+		for i := range recs {
+			seq, err := p.cfg.Store.Put(recs[i])
+			if err != nil {
+				// Put checks only what validation already did, so this is a
+				// bug; never lose count of the submissions.
+				p.ctr.aborted.Add(uint64(len(recs) - i))
+				res.Failed += len(recs) - i
+				recs = recs[:i]
+				break
+			}
+			recs[i].Seq = seq
+		}
+	}
+	for i := range recs {
+		if recs[i].Accepted {
+			p.ctr.accepted.Inc()
+		} else {
+			p.ctr.rejected.Inc()
+		}
+	}
+	p.ctr.stored.Add(uint64(len(recs)))
+	dur := time.Since(t0)
+	p.storeDur.Observe(dur.Seconds())
+	p.spans(traces, "store", recs, t0, dur, nil)
+	res.Records = recs
+	return nil
+}
+
+// spans emits the named stage span, one start and duration for the
+// whole batch, for each record of a traced batch; an untraced batch
+// (traces nil) emits nothing.
+func (p *Pipeline) spans(traces []string, name string, recs []store.Record, t0 time.Time, dur time.Duration, err error) {
+	if traces == nil {
+		return
+	}
+	for i := range recs {
+		p.tracer.Emit(obs.Span{Trace: traces[i], Name: name, Device: recs[i].Device, Model: recs[i].Model, Seq: recs[i].Seq, Err: err}, t0, dur)
 	}
 }
 
@@ -491,57 +558,6 @@ func (p *Pipeline) evaluate(sub Submission) store.Record {
 	}
 	rec.Accepted = true
 	return rec
-}
-
-func (p *Pipeline) storeWorker() {
-	for item := range p.evaluated {
-		if p.aborting() {
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
-			continue
-		}
-		rec := item.rec
-		t0 := time.Now()
-		if p.cfg.WAL != nil {
-			// Append-before-store: the record is fsynced into the log —
-			// which assigns its sequence number — before it becomes
-			// visible. A failed commit drops the record (counted), never
-			// stores it: acceptance must not outrun durability. The
-			// wal_append span covers the whole commit (fsynced append plus
-			// the store insert it gates); the store span that follows is
-			// the visibility bookkeeping.
-			_, err := p.cfg.WAL.Commit(&rec)
-			dur := time.Since(t0)
-			p.walDur.Observe(dur.Seconds())
-			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "wal_append", Device: rec.Device, Model: rec.Model, Seq: rec.Seq, Err: err}, t0, dur)
-			if err != nil {
-				p.ctr.walFailed.Inc()
-				resolve(item.done, store.Record{}, err)
-				continue
-			}
-			p.ctr.walAppended.Inc()
-			t0 = time.Now()
-		} else if seq, err := p.cfg.Store.Put(rec); err != nil {
-			// Validated at decode; a store rejection here is a bug, but
-			// never lose count of the submission.
-			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "store", Device: rec.Device, Model: rec.Model, Err: err}, t0, time.Since(t0))
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, err)
-			continue
-		} else {
-			rec.Seq = seq
-		}
-		if rec.Accepted {
-			p.ctr.accepted.Inc()
-		} else {
-			p.ctr.rejected.Inc()
-		}
-		p.ctr.stored.Inc()
-		dur := time.Since(t0)
-		p.storeDur.Observe(dur.Seconds())
-		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "store", Device: rec.Device, Model: rec.Model, Seq: rec.Seq}, t0, dur)
-		resolve(item.done, rec, nil)
-	}
 }
 
 // Submission is the crowd app's upload payload — the wire format of

@@ -34,7 +34,7 @@ func payload(t *testing.T, device string, score, amb float64) []byte {
 
 func newPipeline(t *testing.T, st *store.Store, mut ...func(*Config)) *Pipeline {
 	t.Helper()
-	cfg := Config{Workers: 2, QueueDepth: 8, Policy: crowd.DefaultPolicy(), Store: st}
+	cfg := Config{QueueDepth: 8, Policy: crowd.DefaultPolicy(), Store: st}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -92,7 +92,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestSubmitBackpressure(t *testing.T) {
 	st := store.New(1)
-	p := newPipeline(t, st, func(c *Config) { c.Workers = 1; c.QueueDepth = 1 })
+	p := newPipeline(t, st, func(c *Config) { c.QueueDepth = 1 })
 	// Not started: the intake queue fills and Submit must block until the
 	// context expires rather than queueing without bound.
 	bg := context.Background()
@@ -104,8 +104,8 @@ func TestSubmitBackpressure(t *testing.T) {
 	if err := p.Submit(ctx, payload(t, "d1", 100, 24)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated Submit = %v, want deadline exceeded", err)
 	}
-	// Once workers start, the queue drains and both the first upload and a
-	// retry go through.
+	// Once the committers start, the queue drains and both the first
+	// upload and a retry go through.
 	p.Start(bg)
 	ctx2, cancel2 := context.WithTimeout(bg, 5*time.Second)
 	defer cancel2()
@@ -120,7 +120,7 @@ func TestSubmitBackpressure(t *testing.T) {
 
 func TestGracefulCloseDrainsEverything(t *testing.T) {
 	st := store.New(8)
-	p := newPipeline(t, st, func(c *Config) { c.Workers = 4; c.QueueDepth = 4 })
+	p := newPipeline(t, st, func(c *Config) { c.QueueDepth = 4 })
 	p.Start(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -154,7 +154,7 @@ func TestGracefulCloseDrainsEverything(t *testing.T) {
 
 func TestHardAbortCountsDrops(t *testing.T) {
 	st := store.New(2)
-	p := newPipeline(t, st, func(c *Config) { c.Workers = 1; c.QueueDepth = 2 })
+	p := newPipeline(t, st, func(c *Config) { c.QueueDepth = 2 })
 	ctx, cancel := context.WithCancel(context.Background())
 	p.Start(ctx)
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -236,18 +236,20 @@ type committer struct {
 	failAll bool
 }
 
-func (c *committer) Commit(r *store.Record) (uint64, error) {
+func (c *committer) CommitBatch(recs []*store.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failAll {
-		return 0, errors.New("disk full")
+		return errors.New("disk full")
 	}
-	c.seq++
-	r.Seq = c.seq
-	if err := c.st.PutSeq(*r); err != nil {
-		return 0, err
+	for _, r := range recs {
+		c.seq++
+		r.Seq = c.seq
+		if err := c.st.PutSeq(*r); err != nil {
+			return err
+		}
 	}
-	return c.seq, nil
+	return nil
 }
 
 func TestPipelineCommitsThroughWAL(t *testing.T) {

@@ -4,9 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"accubench/internal/cluster"
+	"accubench/internal/crowd"
 	"accubench/internal/obs"
-	"accubench/internal/stats"
 	"accubench/internal/store"
 )
 
@@ -38,10 +37,6 @@ type ModelBins struct {
 	// node-local and differs across replicas holding the same records.
 	Revision uint64 `json:"revision"`
 }
-
-// minClusterPop is the smallest accepted population worth clustering,
-// matching the batch study in internal/crowd.
-const minClusterPop = 4
 
 // Bin computations (BinnerConfig.Mode).
 const (
@@ -171,62 +166,28 @@ func (b *Binner) Refresh(model string) ModelBins {
 // than served from the cache — sketch folds plus exact recomputes.
 func (b *Binner) Recomputes() uint64 { return b.recomputes.Load() }
 
-// exactBins computes one model's bins from the store's records: normalize
-// the accepted population's scores to the 26 °C reference ambient, then
-// cluster them (exact 1-D k-means, silhouette-selected k). The
-// BinModeExact reference the sketch fold is held to.
+// exactBins computes one model's bins from the store's records with
+// crowd.BinScores over the accepted population (latest record per
+// device): the BinModeExact reference the sketch fold is held to.
 func exactBins(st *store.Store, model string, maxK int) ModelBins {
 	mb := ModelBins{Model: model, Submissions: len(st.Model(model))}
-
 	var scores, ambs []float64
 	for _, r := range st.Latest(model) {
-		if !r.Accepted {
-			continue
+		if r.Accepted {
+			scores = append(scores, r.Score)
+			ambs = append(ambs, float64(r.EstimatedAmbient))
 		}
-		scores = append(scores, r.Score)
-		ambs = append(ambs, float64(r.EstimatedAmbient))
 	}
 	mb.Accepted = len(scores)
-
-	normalized := append([]float64(nil), scores...)
-	if len(scores) >= 3 && spread(ambs) > 0.5 {
-		// The slope fit needs ambient variation to be identifiable; an
-		// ambient-uniform population needs no normalization anyway.
-		_, slope := stats.LinearFit(ambs, scores)
-		mb.AmbientSlope = slope
-		for i := range normalized {
-			normalized[i] = scores[i] - slope*(ambs[i]-26)
-		}
-	}
-
-	if len(normalized) >= minClusterPop {
-		if k, err := cluster.ChooseK(normalized, maxK); err == nil {
-			if asg, err := cluster.KMeans1D(normalized, k); err == nil {
-				mb.BinCount = k
-				mb.Centroids = asg.Centroids
-				mb.Sizes = make([]int, k)
-				for _, lbl := range asg.Labels {
-					mb.Sizes[lbl]++
-				}
-			}
+	bins, err := crowd.BinScores(scores, ambs, maxK)
+	mb.AmbientSlope = bins.Slope
+	if err == nil && bins.K > 0 {
+		mb.BinCount = bins.K
+		mb.Centroids = bins.Bins.Centroids
+		mb.Sizes = make([]int, bins.K)
+		for _, lbl := range bins.Bins.Labels {
+			mb.Sizes[lbl]++
 		}
 	}
 	return mb
-}
-
-// spread returns max-min of xs.
-func spread(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return hi - lo
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"accubench/internal/cluster"
+	"accubench/internal/crowd"
 	"accubench/internal/stats"
 )
 
@@ -74,7 +75,7 @@ func binsFromSketch(model string, sk *stats.BinSketch, maxK int) ModelBins {
 		mb.AmbientSlope = slope
 	}
 	pts := sk.Points()
-	if mb.Accepted < minClusterPop || len(pts) == 0 {
+	if mb.Accepted < crowd.MinClusterPop || len(pts) == 0 {
 		return mb
 	}
 	wpts := make([]cluster.WeightedPoint, len(pts))

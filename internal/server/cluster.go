@@ -14,6 +14,7 @@ import (
 	"accubench/internal/obs"
 	"accubench/internal/replication"
 	"accubench/internal/store"
+	"accubench/internal/wal"
 )
 
 // forwardedHeader marks a proxied submission so the receiving node
@@ -61,46 +62,24 @@ type ClusterConfig struct {
 type clusterCommitter struct {
 	nodeID string
 	clock  *hlc.Clock
-	base   ingest.Committer // nil when the node runs in-memory
+	base   *wal.Persister // nil when the node runs in-memory
 	st     *store.Store
 }
 
-func (c *clusterCommitter) Commit(r *store.Record) (uint64, error) {
-	if r.Stamp().IsZero() {
-		r.SetStamp(c.nodeID, c.clock.Now())
-	}
-	if c.base != nil {
-		return c.base.Commit(r)
-	}
-	seq, err := c.st.Put(*r)
-	if err == nil {
-		r.Seq = seq
-	}
-	return seq, err
-}
-
-// CommitBatch stamps and group-commits a whole batch, keeping it on the
-// WAL's single-append fast path when the underlying committer supports
-// it. It serves both the stream ingest path (it implements
-// ingest.BatchCommitter) and the replica side of replication, as
-// replication.Config.Apply: a shipped batch or an anti-entropy pull
-// arrives stamped and commits as one group append.
+// CommitBatch stamps and group-commits a whole batch as one WAL append.
+// It is the ingest pipeline's Committer and the replica side of
+// replication, as replication.Config.Apply: a shipped batch or an
+// anti-entropy pull arrives stamped and commits as one group append.
 func (c *clusterCommitter) CommitBatch(recs []*store.Record) error {
 	for _, r := range recs {
 		if r.Stamp().IsZero() {
 			r.SetStamp(c.nodeID, c.clock.Now())
 		}
 	}
-	if bc, ok := c.base.(ingest.BatchCommitter); ok {
-		return bc.CommitBatch(recs)
+	if c.base != nil {
+		return c.base.CommitBatch(recs)
 	}
 	for _, r := range recs {
-		if c.base != nil {
-			if _, err := c.base.Commit(r); err != nil {
-				return err
-			}
-			continue
-		}
 		seq, err := c.st.Put(*r)
 		if err != nil {
 			return err
@@ -121,11 +100,7 @@ func (s *Server) initCluster() error {
 	}
 	s.clock = hlc.NewClock(cc.Now)
 	s.rmet = obs.NewReplicationMetrics(s.reg)
-	var base ingest.Committer
-	if s.pers != nil {
-		base = s.pers
-	}
-	s.committer = &clusterCommitter{nodeID: cc.NodeID, clock: s.clock, base: base, st: s.store}
+	s.committer = &clusterCommitter{nodeID: cc.NodeID, clock: s.clock, base: s.pers, st: s.store}
 	s.peerClient = cc.Client
 	if s.peerClient == nil {
 		s.peerClient = &http.Client{Timeout: 5 * time.Second}

@@ -87,7 +87,6 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) map[string]ui
 // every byte ever accepted.
 func TestBackpressureDeterministic(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Workers:       1,
 		QueueDepth:    1,
 		SubmitTimeout: 50 * time.Millisecond,
 	})

@@ -171,3 +171,27 @@ func TestPrimaryDownLocalIngestFallback(t *testing.T) {
 		t.Errorf("unreplicated record missing from the survivor (HTTP %d)", devCode)
 	}
 }
+
+// TestClusterMalformedUploadRejected pins the cluster JSON route's
+// answer to bytes that do not decode: 400, never a 202, with each one
+// counted as received and as a decode error.
+func TestClusterMalformedUploadRejected(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	client := &http.Client{Timeout: 5 * time.Second}
+	primary, _ := findRouting(t, nodes, "Nexus 5")
+
+	malformed := testkit.MalformedPayloads()
+	for i, raw := range malformed {
+		resp := postSubmission(t, client, primary.url, raw)
+		code := resp.StatusCode
+		body := drainBody(t, resp)
+		if code != http.StatusBadRequest {
+			t.Errorf("malformed upload %d = %d (%s), want 400", i, code, body)
+		}
+	}
+	m := scrapeMetrics(t, client, primary.url)
+	testkit.CheckMetricsFlow(t, m)
+	if got := m["crowdd_decode_errors_total"]; got != uint64(len(malformed)) || m["crowdd_received_total"] != got {
+		t.Errorf("received %d, decode errors %d; want %d of each", m["crowdd_received_total"], got, len(malformed))
+	}
+}

@@ -25,11 +25,12 @@
 //	                           latency histograms (internal/obs;
 //	                           reference in docs/METRICS.md)
 //
-// Uploads flow through the ingest pipeline (bounded, staged worker pool)
-// and land in the sharded store, whose commit path also folds each
-// record into its model's population sketch. The request path never
-// runs the estimator inline: submissions return as soon as the pipeline
-// accepts the bytes. There is no background binning: a bins read folds
+// Uploads flow through the ingest pipeline (internal/ingest: one
+// validate → evaluate → group-commit path) and land in the sharded
+// store, whose commit path also folds each record into its model's
+// population sketch. A standalone JSON upload returns as soon as the
+// pipeline admits the bytes; a stream batch is acked after its commit.
+// There is no background binning: a bins read folds
 // the model's sketch, O(cells), and caches the result until the next
 // commit for that model, so every read is current and a repeated read is
 // a cache hit.
@@ -66,9 +67,7 @@ import (
 type Config struct {
 	// Shards is the store's stripe width (store.DefaultShards if <= 0).
 	Shards int
-	// Workers is the ingest pipeline's per-stage worker count.
-	Workers int
-	// QueueDepth is the ingest pipeline's per-stage queue capacity.
+	// QueueDepth bounds the ingest queue of admitted JSON uploads.
 	QueueDepth int
 	// Policy is the per-submission acceptance policy (crowd.DefaultPolicy
 	// if zero).
@@ -99,8 +98,8 @@ type Config struct {
 	// slow-disk injection seam used by internal/chaos and crowdd's
 	// -chaos-fsync-delay flag. Only meaningful with DataDir set.
 	FsyncDelay func()
-	// TraceWriter, when non-nil, enables per-submission tracing: every
-	// accepted upload emits one JSON span per pipeline stage
+	// TraceWriter, when non-nil, enables per-upload tracing: every JSON
+	// upload emits one JSON span per ingest step
 	// (decode→filter→wal_append→store) to this writer, correlated by a
 	// trace ID — crowdd's -trace flag wires it to stdout.
 	TraceWriter io.Writer
@@ -175,7 +174,6 @@ func New(cfg Config) (*Server, error) {
 	binner := NewBinner(BinnerConfig{Store: st, MaxK: cfg.MaxK, Obs: reg})
 	s := &Server{cfg: cfg, store: st, binner: binner, mux: http.NewServeMux(), pers: pers, recovery: recovery, reg: reg}
 	icfg := ingest.Config{
-		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
 		Policy:     cfg.Policy,
 		Store:      st,
@@ -282,7 +280,7 @@ func (s *Server) registerGauges() {
 		func() uint64 { return uint64(s.recovery.Replayed) })
 }
 
-// Start launches the ingest workers and, in cluster mode, the
+// Start launches the ingest committers and, in cluster mode, the
 // replicator. Bins need no start: recovery rebuilt the store's sketches,
 // so the first read after New already counts every recovered record.
 func (s *Server) Start(ctx context.Context) {
@@ -293,7 +291,7 @@ func (s *Server) Start(ctx context.Context) {
 }
 
 // Close shuts down gracefully, in durability order: drain the pipeline
-// (every enqueued submission commits), then flush the WAL and cut a
+// (every admitted submission commits), then flush the WAL and cut a
 // final snapshot — so a clean shutdown never needs replay on the next
 // boot.
 func (s *Server) Close() error {

@@ -26,7 +26,6 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
 		Shards:     8,
-		Workers:    2,
 		QueueDepth: 32,
 	})
 	if err != nil {
@@ -308,7 +307,7 @@ func TestServerSimulatedFleet(t *testing.T) {
 }
 
 func TestServerShutdownRefusesUploads(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 4})
+	s, err := New(Config{QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestAppendBatchReplayRoundtrip(t *testing.T) {
 		t.Errorf("first batch starts at seq %d, want 1", first)
 	}
 	// A single append between batches must slot into the same sequence.
-	if seq, err := l.Append(payloads[4]); err != nil || seq != 5 {
+	if seq, err := appendOne(l, payloads[4]); err != nil || seq != 5 {
 		t.Fatalf("interleaved append = (%d, %v), want (5, nil)", seq, err)
 	}
 	first, err = l.AppendBatch(payloads[5:])

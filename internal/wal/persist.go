@@ -16,7 +16,8 @@ import (
 const DefaultSnapshotEvery = 4096
 
 // snapshotsKept is how many snapshot generations stay on disk: the
-// newest, plus one fallback in case the newest is unreadable.
+// newest, plus one fallback in case the newest is unreadable. The log is
+// compacted only through the fallback, so it replays exactly too.
 const snapshotsKept = 2
 
 // PersistConfig parameterizes a Persister.
@@ -74,8 +75,8 @@ type PersistCounters struct {
 	LastSnapshotSeq uint64
 }
 
-// Persister ties the segmented log to the sharded store: Commit is the
-// crowd stack's durability point (append + fsync, then store), a
+// Persister ties the segmented log to the sharded store: CommitBatch is
+// the crowd stack's durability point (append + fsync, then store), a
 // background snapshotter checkpoints the store and compacts covered
 // segments, and Open performs crash recovery. It implements
 // ingest.Committer.
@@ -186,47 +187,24 @@ func Open(cfg PersistConfig, st *store.Store) (*Persister, Recovery, error) {
 	return p, rec, nil
 }
 
-// Commit is the durability point: the record is marshaled, appended to
-// the log (blocking until fsynced — group-committed with concurrent
-// callers), assigned its sequence number by the append, and only then
-// inserted into the store. A record is never visible without being
-// durable. The record's Seq field is set on return.
+// Commit commits one record: a batch of one through CommitBatch. The
+// record's Seq field is set on return.
 func (p *Persister) Commit(r *store.Record) (uint64, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
+	if err := p.CommitBatch([]*store.Record{r}); err != nil {
 		return 0, err
 	}
-	p.commitMu.RLock()
-	seq, err := p.log.Append(payload)
-	if err != nil {
-		p.commitMu.RUnlock()
-		return 0, err
-	}
-	r.Seq = seq
-	perr := p.st.PutSeq(*r)
-	p.commitMu.RUnlock()
-	if perr != nil {
-		// Logged but unstorable — a validation bug upstream; surface it
-		// rather than diverging store and log silently.
-		return 0, perr
-	}
-	if p.sinceSnap.Add(1) >= uint64(p.cfg.SnapshotEvery) {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
-	}
-	return seq, nil
+	return r.Seq, nil
 }
 
-// CommitBatch commits a whole ingest batch through one group-commit:
-// every record is marshaled up front, the batch is appended to the log
-// as consecutive frames in a single durable write, the records'
-// sequence numbers are assigned from the append, and the store insert
-// takes one lock pass per shard (PutSeqBatch). All-or-nothing on the
-// log side: if the append fails, no record of the batch was stored.
-// Each record's Seq field is set on return. It implements
-// ingest.BatchCommitter.
+// CommitBatch is the durability point: every record is marshaled up
+// front, the batch is appended to the log as consecutive frames in a
+// single durable write (blocking until fsynced — group-committed with
+// concurrent callers), the records' sequence numbers are assigned from
+// the append, and only then does the store insert take one lock pass
+// per shard (PutSeqBatch). A record is never visible without being
+// durable. All-or-nothing on the log side: if the append fails, no
+// record of the batch was stored. Each record's Seq field is set on
+// return. It implements ingest.Committer.
 func (p *Persister) CommitBatch(recs []*store.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -285,8 +263,11 @@ func (p *Persister) snapshotLoop() {
 }
 
 // Snapshot serializes the store, writes a checksummed snapshot covering
-// the log's current tail, deletes fully covered segments and prunes old
-// snapshots. Commits are paused only while the store is copied in memory,
+// the log's current tail, deletes the segments the previous snapshot
+// covers and prunes older snapshots. The previous snapshot stays as the
+// fallback, so the log keeps every record after it: should the new
+// snapshot turn out unreadable, recovery from the fallback is still
+// exact. Commits are paused only while the store is copied in memory,
 // not while the file is written.
 func (p *Persister) Snapshot() error {
 	p.commitMu.Lock()
@@ -294,7 +275,8 @@ func (p *Persister) Snapshot() error {
 	seq := p.log.LastSeq()
 	p.commitMu.Unlock()
 	p.sinceSnap.Store(0)
-	if seq == p.lastSnapSeq.Load() {
+	prev := p.lastSnapSeq.Load()
+	if seq == prev {
 		return nil // nothing new since the last snapshot
 	}
 	payload, err := json.Marshal(recs)
@@ -304,7 +286,7 @@ func (p *Persister) Snapshot() error {
 	if _, err := WriteSnapshot(p.cfg.Dir, seq, uint64(len(recs)), payload); err != nil {
 		return err
 	}
-	if _, err := p.log.CompactThrough(seq); err != nil {
+	if _, err := p.log.CompactThrough(prev); err != nil {
 		return err
 	}
 	if err := PruneSnapshots(p.cfg.Dir, snapshotsKept); err != nil {
@@ -340,7 +322,7 @@ func (p *Persister) Close() error {
 }
 
 // Crash abandons the persister without the final flush or snapshot — the
-// test hook simulating a hard kill. Every record whose Commit returned is
+// test hook simulating a hard kill. Every record whose commit returned is
 // already durable in the log; recovery must rebuild the rest.
 func (p *Persister) Crash() {
 	p.stopOnce.Do(func() { close(p.stop) })

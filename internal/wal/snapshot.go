@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -27,8 +28,9 @@ import (
 // Both CRCs must validate before a snapshot is trusted; a half-written or
 // bit-flipped snapshot is skipped in favor of the previous one (writes go
 // through a temp file + rename, and the previous snapshot is retained
-// until the next one lands). The header layout is locked by a golden test
-// so version bumps are deliberate.
+// until the next one lands). A snapshot in a format version this build
+// does not read stops recovery instead. The header layout is locked by a
+// golden test so version bumps are deliberate.
 
 // snapshotMagic identifies a snapshot file.
 const snapshotMagic = "ACCUSNAP"
@@ -38,6 +40,10 @@ const SnapshotVersion = 1
 
 // SnapshotHeaderSize is the fixed header size in bytes.
 const SnapshotHeaderSize = 48
+
+// errSnapshotVersion marks a snapshot whose header validates but whose
+// format version is not SnapshotVersion.
+var errSnapshotVersion = errors.New("wal: snapshot format version")
 
 // snapshotName renders the canonical file name for a snapshot covering
 // the log through seq.
@@ -88,7 +94,7 @@ func decodeSnapshotHeader(hdr []byte) (seq, count, payloadLen uint64, payloadCRC
 		return 0, 0, 0, 0, fmt.Errorf("wal: snapshot header checksum mismatch")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SnapshotVersion {
-		return 0, 0, 0, 0, fmt.Errorf("wal: snapshot format version %d, this build reads %d", v, SnapshotVersion)
+		return 0, 0, 0, 0, fmt.Errorf("%w %d, this build reads %d", errSnapshotVersion, v, SnapshotVersion)
 	}
 	seq = binary.LittleEndian.Uint64(hdr[16:24])
 	count = binary.LittleEndian.Uint64(hdr[24:32])
@@ -138,17 +144,29 @@ func ReadSnapshot(path string) (seq, count uint64, payload []byte, err error) {
 	if err != nil {
 		return 0, 0, nil, err
 	}
+	seq, count, payload, err = parseSnapshot(data)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	return seq, count, payload, nil
+}
+
+// parseSnapshot validates one snapshot image end to end — header
+// checksum, format version, payload length, payload checksum — and
+// returns the covered sequence number, record count and payload (a
+// subslice of data).
+func parseSnapshot(data []byte) (seq, count uint64, payload []byte, err error) {
 	seq, count, payloadLen, payloadCRC, err := decodeSnapshotHeader(data)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	if uint64(len(data)-SnapshotHeaderSize) != payloadLen {
-		return 0, 0, nil, fmt.Errorf("wal: snapshot %s payload is %d bytes, header says %d",
-			filepath.Base(path), len(data)-SnapshotHeaderSize, payloadLen)
+		return 0, 0, nil, fmt.Errorf("wal: snapshot payload is %d bytes, header says %d",
+			len(data)-SnapshotHeaderSize, payloadLen)
 	}
 	payload = data[SnapshotHeaderSize:]
 	if crc32.Checksum(payload, castagnoli) != payloadCRC {
-		return 0, 0, nil, fmt.Errorf("wal: snapshot %s payload checksum mismatch", filepath.Base(path))
+		return 0, 0, nil, errors.New("wal: snapshot payload checksum mismatch")
 	}
 	return seq, count, payload, nil
 }
@@ -185,8 +203,10 @@ func listSnapshots(dir string) ([]string, error) {
 }
 
 // LatestSnapshot returns the newest snapshot in dir that validates end to
-// end, skipping corrupt or unreadable ones. ok is false when no valid
-// snapshot exists.
+// end, skipping torn, unreadable and checksum-failing ones. ok is false
+// when no valid snapshot exists. A snapshot in a format version this
+// build does not read stops the search with that error instead: falling
+// back past it would silently drop the records it holds.
 func LatestSnapshot(dir string) (seq, count uint64, payload []byte, ok bool, err error) {
 	paths, err := listSnapshots(dir)
 	if err != nil {
@@ -194,6 +214,9 @@ func LatestSnapshot(dir string) (seq, count uint64, payload []byte, ok bool, err
 	}
 	for _, path := range paths {
 		seq, count, payload, rerr := ReadSnapshot(path)
+		if errors.Is(rerr, errSnapshotVersion) {
+			return 0, 0, nil, false, rerr
+		}
 		if rerr != nil {
 			continue // corrupt or torn: fall back to the previous one
 		}

@@ -8,8 +8,10 @@
 // is the classic one: every committed record is appended to the log and
 // fsynced *before* it becomes visible in the store; a background
 // snapshotter periodically checkpoints the whole store and deletes the
-// log segments the snapshot covers; boot restores the latest valid
-// snapshot and replays the log tail.
+// log segments the previous snapshot covers, keeping that one as the
+// fallback; boot restores the newest valid snapshot and replays the log
+// tail after it, refusing to boot over a gap in the log or a snapshot in
+// a format version this build does not read.
 //
 // Three layers live here:
 //
@@ -17,8 +19,9 @@
 //     fuzzed decode surface.
 //   - Log — the segmented append log: rotation at a size threshold,
 //     torn-tail truncation on open, group-commit fsync batching.
-//   - Persister — the store-facing orchestration: the commit point
-//     (append, then store), snapshot + compaction, recovery on open.
+//   - Persister — the store-facing orchestration: the group commit
+//     point (append, then store), snapshot + compaction, recovery on
+//     open.
 package wal
 
 import (
@@ -35,7 +38,7 @@ import (
 	"accubench/internal/obs"
 )
 
-// ErrClosed is returned by Append after Close (or Crash).
+// ErrClosed is returned by AppendBatch after Close (or Crash).
 var ErrClosed = errors.New("wal: log closed")
 
 // DefaultSegmentBytes is the rotation threshold for Config.SegmentBytes
@@ -55,10 +58,10 @@ type Config struct {
 	// <= 0).
 	SegmentBytes int64
 	// FlushEvery is the group-commit window: appends from concurrent
-	// callers coalesce into one fsync per window, and Append blocks until
-	// the fsync covering its record completes. <= 0 selects synchronous
-	// mode — every append fsyncs before returning (tests, strict
-	// durability).
+	// callers coalesce into one fsync per window, and AppendBatch blocks
+	// until the fsync covering its records completes. <= 0 selects
+	// synchronous mode — every append fsyncs before returning (tests,
+	// strict durability).
 	FlushEvery time.Duration
 	// StartSeq is the highest sequence number already durable elsewhere
 	// (the covering snapshot). When the directory holds no segments, the
@@ -105,7 +108,7 @@ type segment struct {
 }
 
 // Log is the segmented append-only record log. Open it, Replay the tail,
-// then Append; all methods are safe for concurrent use.
+// then AppendBatch; all methods are safe for concurrent use.
 type Log struct {
 	cfg Config
 
@@ -286,66 +289,13 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Append writes one record and blocks until it is durable: in
-// synchronous mode the fsync happens inline; in group-commit mode the
-// caller waits for the flush window covering its record, so concurrent
-// appenders share one fsync. It returns the record's assigned sequence
-// number.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxPayload {
-		return 0, fmt.Errorf("wal: payload %d bytes exceeds the %d-byte frame limit", len(payload), MaxPayload)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.err != nil {
-		return 0, l.err
-	}
-	seq := l.lastSeq + 1
-	frame := AppendFrame(make([]byte, 0, FrameHeaderSize+len(payload)), seq, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		l.failLocked(err)
-		return 0, err
-	}
-	l.lastSeq = seq
-	l.size += int64(len(frame))
-	l.appends++
-	l.bytes += uint64(len(frame))
-	switch {
-	case l.size >= l.cfg.SegmentBytes:
-		// Rotation fsyncs and retires the active segment, so everything
-		// through seq is durable once it returns.
-		if err := l.rotateLocked(); err != nil {
-			l.failLocked(err)
-			return 0, err
-		}
-	case l.cfg.FlushEvery <= 0:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	// Group commit: wait for the flusher (or a rotating sibling) to cover
-	// this record.
-	for l.syncedSeq < seq && l.err == nil && !l.closed {
-		l.commit.Wait()
-	}
-	if l.err != nil {
-		return 0, l.err
-	}
-	if l.syncedSeq < seq {
-		return 0, ErrClosed
-	}
-	return seq, nil
-}
-
 // AppendBatch writes a group of records as consecutive frames in one
-// write and blocks until all of them are durable — the streaming
-// ingest's group-commit point. One mutex hold, one file write and (in
-// synchronous mode) one fsync cover the whole batch, instead of one
-// each per record. It returns the sequence number assigned to the
-// first record; the rest follow consecutively.
+// write and blocks until all of them are durable — the log's only write
+// path, and every commit's group-commit point. One mutex hold, one file
+// write and (in synchronous mode) one fsync cover the whole batch; a
+// batch of one writes the same frame a lone record always has. It
+// returns the sequence number assigned to the first record; the rest
+// follow consecutively.
 func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, fmt.Errorf("wal: empty batch")
@@ -470,15 +420,17 @@ func (l *Log) flusher() {
 }
 
 // Replay streams every record with sequence number greater than `after`
-// to fn, in order, across all segments. Call it after Open and before the
-// first Append. Corruption in a non-final segment is an error (the final
-// segment's tail was already truncated by Open); fn returning an error
-// stops the replay.
+// to fn, in order, across all segments. Call it after Open and before
+// the first AppendBatch. Corruption in a non-final segment is an error
+// (the final segment's tail was already truncated by Open), and so is a
+// gap: the records replayed must run after+1, after+2, … with none
+// missing, or acknowledged records would vanish without a trace. fn
+// returning an error stops the replay.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segments...)
 	l.mu.Unlock()
-	prev := uint64(0)
+	prev, next := uint64(0), after+1
 	for _, sg := range segs {
 		data, err := os.ReadFile(sg.path)
 		if err != nil {
@@ -498,6 +450,11 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 			if seq <= after {
 				continue
 			}
+			if seq != next {
+				return fmt.Errorf("wal: records %d through %d missing from the log (%s resumes at %d)",
+					next, seq-1, filepath.Base(sg.path), seq)
+			}
+			next++
 			if err := fn(seq, payload); err != nil {
 				return err
 			}
@@ -559,9 +516,9 @@ func (l *Log) Counters() Counters {
 func (l *Log) Close() error { return l.close(true) }
 
 // Crash abandons the log without the final flush — the test hook that
-// simulates a hard kill. Records whose Append already returned are on
-// disk (Append never returns before its fsync); anything mid-flight is
-// lost, exactly as a real crash would lose it.
+// simulates a hard kill. Records whose AppendBatch already returned are
+// on disk (AppendBatch never returns before its fsync); anything
+// mid-flight is lost, exactly as a real crash would lose it.
 func (l *Log) Crash() error { return l.close(false) }
 
 func (l *Log) close(flush bool) error {

@@ -26,13 +26,18 @@ func openSync(t *testing.T, dir string, mut ...func(*Config)) *Log {
 	return l
 }
 
+// appendOne appends one payload as a batch of one.
+func appendOne(l *Log, payload []byte) (uint64, error) {
+	return l.AppendBatch([][]byte{payload})
+}
+
 // appendN appends n numbered payloads and returns them.
 func appendN(t *testing.T, l *Log, n int) [][]byte {
 	t.Helper()
 	payloads := make([][]byte, n)
 	for i := range payloads {
 		payloads[i] = []byte(fmt.Sprintf("record-%04d", i))
-		seq, err := l.Append(payloads[i])
+		seq, err := appendOne(l, payloads[i])
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -81,7 +86,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		}
 	}
 	// Appends continue the sequence.
-	if seq, err := l2.Append([]byte("after-reopen")); err != nil || seq != 26 {
+	if seq, err := appendOne(l2, []byte("after-reopen")); err != nil || seq != 26 {
 		t.Errorf("append after reopen = (%d, %v), want (26, nil)", seq, err)
 	}
 	// Replay past a midpoint skips the covered prefix.
@@ -127,7 +132,7 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	if c := l.Counters(); c.Segments != 1 {
 		t.Fatalf("compaction left %d segments, the active one must survive", c.Segments)
 	}
-	if seq, err := l.Append([]byte("still-appendable")); err != nil || seq != 21 {
+	if seq, err := appendOne(l, []byte("still-appendable")); err != nil || seq != 21 {
 		t.Fatalf("append after full compaction = (%d, %v), want (21, nil)", seq, err)
 	}
 	l.Close()
@@ -170,7 +175,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if len(seqs) != 5 {
 		t.Fatalf("torn tail cost committed records: replayed %d, want 5", len(seqs))
 	}
-	if seq, err := l2.Append([]byte("after-tear")); err != nil || seq != 6 {
+	if seq, err := appendOne(l2, []byte("after-tear")); err != nil || seq != 6 {
 		t.Errorf("append after torn-tail recovery = (%d, %v), want (6, nil)", seq, err)
 	}
 }
@@ -209,7 +214,7 @@ func TestBitFlippedTailDropsOnlyLastRecord(t *testing.T) {
 		}
 	}
 	// The dropped record's seq is reused — the log's tail really moved back.
-	if seq, err := l2.Append([]byte("replacement")); err != nil || seq != 3 {
+	if seq, err := appendOne(l2, []byte("replacement")); err != nil || seq != 3 {
 		t.Errorf("append after truncation = (%d, %v), want (3, nil)", seq, err)
 	}
 }
@@ -224,7 +229,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := l.Append([]byte(fmt.Sprintf("concurrent-%03d", i))); err != nil {
+			if _, err := appendOne(l, []byte(fmt.Sprintf("concurrent-%03d", i))); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -260,7 +265,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+	if _, err := appendOne(l, []byte("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
@@ -274,7 +279,7 @@ func TestStartSeqContinuesAfterSnapshot(t *testing.T) {
 	// A snapshot covered seqs 1..100; the log starts empty but must not
 	// reuse them.
 	l := openSync(t, dir, func(c *Config) { c.StartSeq = 100 })
-	if seq, err := l.Append([]byte("first-after-snapshot")); err != nil || seq != 101 {
+	if seq, err := appendOne(l, []byte("first-after-snapshot")); err != nil || seq != 101 {
 		t.Fatalf("first append with StartSeq 100 = (%d, %v), want (101, nil)", seq, err)
 	}
 	l.Close()
@@ -282,7 +287,7 @@ func TestStartSeqContinuesAfterSnapshot(t *testing.T) {
 	// The on-disk tail outranks a stale StartSeq on reopen.
 	l2 := openSync(t, dir, func(c *Config) { c.StartSeq = 50 })
 	defer l2.Close()
-	if seq, err := l2.Append([]byte("second")); err != nil || seq != 102 {
+	if seq, err := appendOne(l2, []byte("second")); err != nil || seq != 102 {
 		t.Fatalf("append after reopen with stale StartSeq = (%d, %v), want (102, nil)", seq, err)
 	}
 }
