@@ -35,10 +35,12 @@ race:
 # detector: the clock, the replicator's shippers and anti-entropy loop,
 # the wire codec + streaming ingest, and the multi-node cluster e2e —
 # the most concurrency-dense code in the tree gets a fresh pass every
-# ci run.
+# ci run. The WAL's group-commit leader and the JSON group committer get
+# three fresh passes.
 race-repl:
 	$(GO) test -race -count=1 ./internal/hlc ./internal/replication ./internal/wire
 	$(GO) test -race -count=1 -run '^TestCluster|^TestStream' ./internal/server
+	$(GO) test -race -count=3 ./internal/wal ./internal/ingest
 
 # fuzz-smoke runs each fuzz target briefly — enough to catch regressions
 # on the corpus plus a short random walk. -run '^$' skips the unit tests

@@ -11,12 +11,13 @@
 //	crowdd -addr :8077 -data-dir /var/lib/crowdd
 //
 // With -data-dir the submission corpus is durable: uploads commit through
-// a segmented write-ahead log (group-committed fsyncs every
-// -fsync-interval; 0 means every commit fsyncs synchronously), a
-// background snapshotter checkpoints the store every -snapshot-every
-// commits, and a restart — or a crash — recovers the full store before
-// serving. A graceful SIGTERM drains the ingest pipeline, flushes the
-// log and cuts a final snapshot, so the next boot replays nothing.
+// a segmented write-ahead log (a self-clocked group commit: an idle
+// commit waits for one fsync, and under load one fsync covers every
+// commit that arrived during the previous one), a background
+// snapshotter checkpoints the store every -snapshot-every commits, and
+// a restart — or a crash — recovers the full store before serving. A
+// graceful SIGTERM drains the ingest pipeline, flushes the log and cuts
+// a final snapshot, so the next boot replays nothing.
 //
 // With -node-id and -peers the process joins a replicated, sharded
 // cluster (docs/CLUSTER.md): submissions are HLC-stamped, routed to
@@ -87,7 +88,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		submitTimeout = fs.Duration("submit-timeout", 2*time.Second, "how long a saturated POST may block before 503")
 		maxBody       = fs.Int64("max-body", 1<<20, "largest accepted upload body, bytes")
 		dataDir       = fs.String("data-dir", "", "durable data directory (WAL + snapshots); empty runs in-memory")
-		fsyncEvery    = fs.Duration("fsync-interval", wal.DefaultFlushEvery, "WAL group-commit window; 0 fsyncs every commit synchronously")
 		snapEvery     = fs.Int("snapshot-every", wal.DefaultSnapshotEvery, "commits between background snapshots")
 		segmentBytes  = fs.Int64("segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold, bytes")
 		chaosFsync    = fs.Duration("chaos-fsync-delay", 0, "fault injection: stall every WAL fsync this long (slow-disk emulation; needs -data-dir)")
@@ -123,7 +123,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		SubmitTimeout: *submitTimeout,
 		MaxBodyBytes:  *maxBody,
 		DataDir:       *dataDir,
-		FsyncEvery:    *fsyncEvery,
 		SnapshotEvery: *snapEvery,
 		SegmentBytes:  *segmentBytes,
 	}

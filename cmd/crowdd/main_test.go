@@ -300,7 +300,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // (but distinguishable from) the ordinary log lines.
 func TestDaemonTraceFlag(t *testing.T) {
 	dir := t.TempDir()
-	base, out, shutdown := startDaemon(t, "-trace", "-data-dir", dir, "-fsync-interval", "0")
+	base, out, shutdown := startDaemon(t, "-trace", "-data-dir", dir)
 	policy := crowd.DefaultPolicy()
 	raw := testkit.AcceptedPayload(t, policy, "trace-dev", 1200, 25)
 	if code, body := post(t, base+"/v1/submissions", raw); code != http.StatusAccepted {
@@ -400,7 +400,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	policy := crowd.DefaultPolicy()
 
-	base, out, shutdown := startDaemon(t, "-data-dir", dir, "-fsync-interval", "0")
+	base, out, shutdown := startDaemon(t, "-data-dir", dir)
 	const n = 6
 	for i := 0; i < n; i++ {
 		raw := testkit.AcceptedPayload(t, policy, fmt.Sprintf("dur-%02d", i), 1200+float64(i), 24)
@@ -424,7 +424,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 
 	// Second life on the same directory.
-	base2, out2, shutdown2 := startDaemon(t, "-data-dir", dir, "-fsync-interval", "0")
+	base2, out2, shutdown2 := startDaemon(t, "-data-dir", dir)
 	if !strings.Contains(out2.String(), fmt.Sprintf("restored %d records (snapshot seq %d holding %d, wal replayed 0", n, n, n)) {
 		t.Errorf("boot log does not narrate snapshot-only recovery:\n%s", out2.String())
 	}

@@ -54,10 +54,10 @@ func (c *blockingCommitter) CommitBatch(recs []*store.Record) error {
 	return nil
 }
 
-// TestGroupCommittersInFlight pins the JSON engine's shape: four group
-// committers, so four commits wait on the disk at once while later
-// uploads queue, and a committer freed from its fsync takes everything
-// queued as one batch.
+// TestGroupCommittersInFlight pins the JSON engine's shape: one group
+// committer, so one commit waits on the disk while later uploads queue,
+// and the committer freed from its fsync takes everything queued as one
+// batch.
 func TestGroupCommittersInFlight(t *testing.T) {
 	policy := crowd.DefaultPolicy()
 	st := store.New(4)
@@ -88,7 +88,7 @@ func TestGroupCommittersInFlight(t *testing.T) {
 
 	// One upload at a time: each is taken by an idle committer, whose
 	// commit then holds.
-	const committers, queued = 4, 8
+	const committers, queued = 1, 8
 	for i := 0; i < committers; i++ {
 		submit(i)
 		if n := awaitEntry(fmt.Sprintf("upload %d", i)); n != 1 {
@@ -132,6 +132,70 @@ func TestGroupCommittersInFlight(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBound holds one commit, queues 40 uploads behind it and
+// pins how they drain: one committer takes them as groups of 32 and 8.
+// A second committer would take the first queued upload alone, and a
+// bound as deep as the queue would take all 40 at once.
+func TestGroupCommitBound(t *testing.T) {
+	policy := crowd.DefaultPolicy()
+	st := store.New(4)
+	bc := &blockingCommitter{st: st, entered: make(chan int, 64), release: make(chan struct{}), committed: map[string]int{}}
+	p, err := ingest.New(ingest.Config{QueueDepth: 64, Policy: policy, Store: st, WAL: bc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	submit := func(i int) {
+		t.Helper()
+		if err := p.Submit(ctx, testkit.AcceptedPayload(t, policy, fmt.Sprintf("gb-%02d", i), 1000+float64(i), 25)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitEntry := func(what string) int {
+		t.Helper()
+		select {
+		case n := <-bc.entered:
+			return n
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no CommitBatch call for %s", what)
+			return 0
+		}
+	}
+
+	submit(0)
+	if n := awaitEntry("the held upload"); n != 1 {
+		t.Fatalf("the held upload committed in a batch of %d, want 1", n)
+	}
+	const queued = 40
+	for i := 1; i <= queued; i++ {
+		submit(i)
+	}
+	select {
+	case n := <-bc.entered:
+		t.Fatalf("a commit of %d started beside the held one", n)
+	case <-time.After(100 * time.Millisecond):
+	}
+	bc.release <- struct{}{}
+	if n := awaitEntry("the first group"); n != 32 {
+		t.Errorf("first group after the held commit = %d uploads, want 32", n)
+	}
+	bc.release <- struct{}{}
+	if n := awaitEntry("the second group"); n != queued-32 {
+		t.Errorf("second group = %d uploads, want %d", n, queued-32)
+	}
+	close(bc.release)
+	p.Close()
+
+	c := p.Counters()
+	testkit.CheckCounterFlow(t, c)
+	if c.Stored != queued+1 || bc.calls != 3 || bc.peak != 1 {
+		t.Errorf("stored %d uploads in %d CommitBatch calls with %d in flight at once, want %d in 3 with 1",
+			c.Stored, bc.calls, bc.peak, queued+1)
+	}
+}
+
 // TestMixedFrontDoorsDurable drives all three front doors at once
 // against a real persister: the counters, the log and the store must
 // agree, and recovery must restore exactly what was stored.
@@ -139,7 +203,7 @@ func TestMixedFrontDoorsDurable(t *testing.T) {
 	policy := crowd.DefaultPolicy()
 	dir := t.TempDir()
 	st := store.New(4)
-	pers, _, err := wal.Open(wal.PersistConfig{Dir: dir, FlushEvery: wal.DefaultFlushEvery}, st)
+	pers, _, err := wal.Open(wal.PersistConfig{Dir: dir}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,6 @@ func TestChaosScenarioMatrix(t *testing.T) {
 				if name == "high-load" {
 					// The slow-disk half needs a real WAL to slow down.
 					cfg.DataDir = t.TempDir()
-					cfg.FsyncEvery = 2 * time.Millisecond
 					cfg.FsyncDelay = plan.FsyncDelay(cfg.Cluster.NodeID)
 				}
 			})

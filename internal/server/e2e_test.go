@@ -387,8 +387,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	dir := t.TempDir()
 	policy := crowd.DefaultPolicy()
 	boot := func() *server.Server {
-		// FsyncEvery 0 = synchronous commits: every 202'd-and-stored
-		// submission is durable the moment the counter moves.
+		// A commit returns only after its covering fsync: every
+		// 202'd-and-stored submission is durable the moment the counter
+		// moves.
 		srv, err := server.New(server.Config{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)

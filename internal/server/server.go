@@ -85,8 +85,10 @@ type Config struct {
 	// recovers the previous state (snapshot + log replay) on boot. Empty
 	// keeps the store purely in-memory.
 	DataDir string
-	// FsyncEvery is the WAL's group-commit window; <= 0 fsyncs every
-	// commit synchronously. Only meaningful with DataDir set.
+	// FsyncEvery is ignored: the WAL's group commit is self-clocked.
+	//
+	// Deprecated: only bench/ still sets it, and it goes with the bench/
+	// leftovers of ROADMAP item 2.
 	FsyncEvery time.Duration
 	// SnapshotEvery is how many commits accumulate between background
 	// snapshots (wal.DefaultSnapshotEvery if <= 0).
@@ -162,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		pers, recovery, err = wal.Open(wal.PersistConfig{
 			Dir:           cfg.DataDir,
 			SegmentBytes:  cfg.SegmentBytes,
-			FlushEvery:    cfg.FsyncEvery,
 			SnapshotEvery: cfg.SnapshotEvery,
 			Obs:           reg,
 			FsyncDelay:    cfg.FsyncDelay,

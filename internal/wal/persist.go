@@ -27,8 +27,10 @@ type PersistConfig struct {
 	// SegmentBytes is the log's rotation threshold (DefaultSegmentBytes
 	// if <= 0).
 	SegmentBytes int64
-	// FlushEvery is the log's group-commit window; <= 0 fsyncs every
-	// commit synchronously.
+	// FlushEvery is ignored: the log's group commit is self-clocked.
+	//
+	// Deprecated: only bench/ still sets it, and it goes with the bench/
+	// leftovers of ROADMAP item 2.
 	FlushEvery time.Duration
 	// SnapshotEvery is how many commits trigger a background snapshot
 	// (DefaultSnapshotEvery if <= 0).
@@ -143,7 +145,6 @@ func Open(cfg PersistConfig, st *store.Store) (*Persister, Recovery, error) {
 	log, err := OpenLog(Config{
 		Dir:          cfg.Dir,
 		SegmentBytes: cfg.SegmentBytes,
-		FlushEvery:   cfg.FlushEvery,
 		StartSeq:     snapSeq,
 		Obs:          cfg.Obs,
 		FsyncDelay:   cfg.FsyncDelay,

@@ -239,6 +239,67 @@ func TestFallbackSnapshotReplaysExactly(t *testing.T) {
 	}
 }
 
+// damageSnapshot flips one payload bit in the snapshot covering seq.
+func damageSnapshot(t *testing.T, dir string, seq uint64) {
+	t.Helper()
+	path := filepath.Join(dir, snapshotName(seq))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[SnapshotHeaderSize+1] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetentionKeepsValidFallback damages the newest snapshot after two
+// crashes in a row. The first boot falls back to snapshot 50 and sets
+// the damaged 100 aside, so the next snapshot's pruning keeps 50 — the
+// only valid fallback — rather than the damaged file; after the second
+// damage, recovery still restores every record from 50 and the log.
+func TestRetentionKeepsValidFallback(t *testing.T) {
+	dir := t.TempDir()
+	small := func(c *PersistConfig) { c.SegmentBytes = 512 }
+	p, _, _ := openPersister(t, dir, small)
+	commitRange(t, p, 0, 50)
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	commitRange(t, p, 50, 100)
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	p.Crash()
+
+	damageSnapshot(t, dir, 100)
+	p, st, rec := openPersister(t, dir, small)
+	if rec.SnapshotSeq != 50 || rec.Restored != 100 {
+		t.Fatalf("recovery past damaged snapshot 100 = %+v, want snapshot 50 plus 50 replayed", rec)
+	}
+	commitRange(t, p, 100, 150)
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := st.Snapshot()
+	p.Crash()
+
+	damageSnapshot(t, dir, 150)
+	p, st, rec = openPersister(t, dir, small)
+	defer p.Close()
+	if rec.SnapshotSeq != 50 || rec.Replayed != 100 || rec.Restored != 150 || rec.LastSeq != 150 {
+		t.Fatalf("recovery past damaged snapshots 100 and 150 = %+v, want snapshot 50 plus 100 replayed", rec)
+	}
+	if got := st.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery from the kept fallback diverged from the committed state")
+	}
+	for _, seq := range []uint64{100, 150} {
+		if _, err := os.Stat(filepath.Join(dir, snapshotName(seq)+".bad")); err != nil {
+			t.Errorf("damaged snapshot %d was not set aside: %v", seq, err)
+		}
+	}
+}
+
 // TestRecoveryRefusesLogGap deletes a middle segment: Open must fail and
 // name the missing records instead of restoring the survivors as if
 // nothing were lost.

@@ -26,11 +26,11 @@ import (
 //	offset 48: payload
 //
 // Both CRCs must validate before a snapshot is trusted; a half-written or
-// bit-flipped snapshot is skipped in favor of the previous one (writes go
-// through a temp file + rename, and the previous snapshot is retained
-// until the next one lands). A snapshot in a format version this build
-// does not read stops recovery instead. The header layout is locked by a
-// golden test so version bumps are deliberate.
+// bit-flipped snapshot is set aside (renamed *.snap.bad) in favor of the
+// previous one (writes go through a temp file + rename, and the previous
+// snapshot is retained until the next one lands). A snapshot in a format
+// version this build does not read stops recovery instead. The header
+// layout is locked by a golden test so version bumps are deliberate.
 
 // snapshotMagic identifies a snapshot file.
 const snapshotMagic = "ACCUSNAP"
@@ -202,11 +202,13 @@ func listSnapshots(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// LatestSnapshot returns the newest snapshot in dir that validates end to
-// end, skipping torn, unreadable and checksum-failing ones. ok is false
-// when no valid snapshot exists. A snapshot in a format version this
-// build does not read stops the search with that error instead: falling
-// back past it would silently drop the records it holds.
+// LatestSnapshot is recovery's snapshot search: it returns the newest
+// snapshot in dir that validates end to end, ok false when none does.
+// Each newer one that is torn, unreadable or fails a checksum is renamed
+// aside to *.snap.bad, kept for inspection but no longer counted or
+// deleted by PruneSnapshots. A snapshot in a format version this build
+// does not read stops the search with that error instead: falling back
+// past it would silently drop the records it holds.
 func LatestSnapshot(dir string) (seq, count uint64, payload []byte, ok bool, err error) {
 	paths, err := listSnapshots(dir)
 	if err != nil {
@@ -214,20 +216,30 @@ func LatestSnapshot(dir string) (seq, count uint64, payload []byte, ok bool, err
 	}
 	for _, path := range paths {
 		seq, count, payload, rerr := ReadSnapshot(path)
-		if errors.Is(rerr, errSnapshotVersion) {
+		switch {
+		case rerr == nil:
+			return seq, count, payload, true, nil
+		case errors.Is(rerr, errSnapshotVersion):
 			return 0, 0, nil, false, rerr
 		}
-		if rerr != nil {
-			continue // corrupt or torn: fall back to the previous one
+		// Corrupt or torn: set it aside and fall back to the previous one.
+		if err := os.Rename(path, path+".bad"); err != nil {
+			return 0, 0, nil, false, err
 		}
-		return seq, count, payload, true, nil
+		if err := syncDir(dir); err != nil {
+			return 0, 0, nil, false, err
+		}
 	}
 	return 0, 0, nil, false, nil
 }
 
 // PruneSnapshots removes all but the newest keep snapshot files (and any
 // stale temp files). The previous snapshot is normally kept as the
-// fallback should the newest turn out unreadable.
+// fallback should the newest turn out unreadable. It does not re-read
+// them: LatestSnapshot set every damaged file newer than the one
+// recovery used aside, and the persister writes each snapshot whole
+// through a rename, so the newest keep files by name are the newest keep
+// known to be valid — the one recovery used and those written since.
 func PruneSnapshots(dir string, keep int) error {
 	paths, err := listSnapshots(dir)
 	if err != nil {

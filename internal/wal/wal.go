@@ -9,16 +9,20 @@
 // fsynced *before* it becomes visible in the store; a background
 // snapshotter periodically checkpoints the whole store and deletes the
 // log segments the previous snapshot covers, keeping that one as the
-// fallback; boot restores the newest valid snapshot and replays the log
-// tail after it, refusing to boot over a gap in the log or a snapshot in
-// a format version this build does not read.
+// fallback; boot restores the newest valid snapshot (setting damaged
+// newer ones aside, so retention only ever counts valid snapshots) and
+// replays the log tail after it, refusing to boot over a gap in the log
+// or a snapshot in a format version this build does not read.
 //
 // Three layers live here:
 //
 //   - frame.go — the record framing (length + CRC-32C + seq), the
 //     fuzzed decode surface.
 //   - Log — the segmented append log: rotation at a size threshold,
-//     torn-tail truncation on open, group-commit fsync batching.
+//     torn-tail truncation on open, and a self-clocked group commit —
+//     the first appender not yet durable fsyncs for everyone written so
+//     far, so the load, not a timer, sets how many records share an
+//     fsync.
 //   - Persister — the store-facing orchestration: the group commit
 //     point (append, then store), snapshot + compaction, recovery on
 //     open.
@@ -46,8 +50,11 @@ var ErrClosed = errors.New("wal: log closed")
 // segment file (the unit of compaction).
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultFlushEvery is the group-commit window used by the daemon's
-// default flags: appends coalesce into one fsync per window.
+// DefaultFlushEvery was the window of the group-commit ticker the log
+// no longer has; nothing reads it.
+//
+// Deprecated: the group commit is self-clocked. Only bench/ still names
+// it, and it goes with the bench/ leftovers of ROADMAP item 2.
 const DefaultFlushEvery = 2 * time.Millisecond
 
 // Config parameterizes a Log.
@@ -57,12 +64,6 @@ type Config struct {
 	// SegmentBytes is the rotation threshold (DefaultSegmentBytes if
 	// <= 0).
 	SegmentBytes int64
-	// FlushEvery is the group-commit window: appends from concurrent
-	// callers coalesce into one fsync per window, and AppendBatch blocks
-	// until the fsync covering its records completes. <= 0 selects
-	// synchronous mode — every append fsyncs before returning (tests,
-	// strict durability).
-	FlushEvery time.Duration
 	// StartSeq is the highest sequence number already durable elsewhere
 	// (the covering snapshot). When the directory holds no segments, the
 	// first append is assigned StartSeq+1.
@@ -73,11 +74,13 @@ type Config struct {
 	// (how many appends each fsync covered — the group-commit
 	// amortization factor).
 	Obs *obs.Registry
-	// FsyncDelay, when non-nil, runs immediately before every fsync while
-	// the log's mutex is held — the slow-disk injection seam used by
-	// internal/chaos. A sleeping FsyncDelay stalls the whole commit path
-	// exactly the way a saturated or degraded disk does: appenders block
-	// until the delayed fsync covering their record completes.
+	// FsyncDelay, when non-nil, runs immediately before every fsync — the
+	// slow-disk injection seam used by internal/chaos. A sleeping
+	// FsyncDelay stalls every commit exactly the way a saturated or
+	// degraded disk does: an appender returns only after the delayed
+	// fsync covering its record. A group-commit leader runs it with the
+	// log's mutex released, so appenders keep writing during the stall as
+	// they would into a real slow disk.
 	FsyncDelay func()
 }
 
@@ -85,8 +88,8 @@ type Config struct {
 type Counters struct {
 	// Appends counts records appended this session.
 	Appends uint64
-	// Fsyncs counts fsync calls (group commit batches many appends into
-	// one; synchronous mode makes this equal Appends).
+	// Fsyncs counts fsync calls (an idle append costs one; under load
+	// one fsync covers every append written during the previous one).
 	Fsyncs uint64
 	// Bytes counts appended bytes, framing included.
 	Bytes uint64
@@ -113,14 +116,16 @@ type Log struct {
 	cfg Config
 
 	mu        sync.Mutex
-	commit    *sync.Cond // broadcast when syncedSeq, err or closed change
+	commit    *sync.Cond // broadcast when syncedSeq, syncing, err or closed change
 	f         *os.File   // active segment
 	size      int64      // active segment size
 	segments  []segment  // ascending by first seq; last is active
 	lastSeq   uint64     // highest appended seq
 	syncedSeq uint64     // highest fsynced seq
+	syncing   bool       // a group-commit leader's fsync is in flight
 	err       error      // sticky I/O error
-	closed    bool
+	closing   bool       // Close or Crash began: no new appends, no new leaders
+	closed    bool       // the active segment is closed
 
 	appends, fsyncs, bytes uint64
 	truncated              int64
@@ -128,10 +133,6 @@ type Log struct {
 	// fsyncDur and fsyncBatch are nil unless Config.Obs was set.
 	fsyncDur   *obs.Histogram
 	fsyncBatch *obs.Histogram
-
-	flushStop chan struct{}
-	flushDone chan struct{}
-	stopOnce  sync.Once
 }
 
 // segmentName renders the canonical file name for a segment whose first
@@ -255,11 +256,6 @@ func OpenLog(cfg Config) (*Log, error) {
 		}
 	}
 	l.syncedSeq = l.lastSeq
-	if cfg.FlushEvery > 0 {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flusher()
-	}
 	return l, nil
 }
 
@@ -291,11 +287,16 @@ func syncDir(dir string) error {
 
 // AppendBatch writes a group of records as consecutive frames in one
 // write and blocks until all of them are durable — the log's only write
-// path, and every commit's group-commit point. One mutex hold, one file
-// write and (in synchronous mode) one fsync cover the whole batch; a
-// batch of one writes the same frame a lone record always has. It
-// returns the sequence number assigned to the first record; the rest
-// follow consecutively.
+// path, and every commit's group-commit point. It returns the sequence
+// number assigned to the first record; the rest follow consecutively.
+//
+// The group commit is self-clocked. After writing its frames under the
+// mutex, the first appender whose records are not yet durable and that
+// finds no fsync in flight becomes the leader: it fsyncs everything
+// written so far with the mutex released. Appenders that arrive during
+// that fsync write their frames and wait, and the next leader covers
+// them. An idle append therefore costs one fsync, and under load a group
+// is whatever arrived during the previous fsync.
 func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, fmt.Errorf("wal: empty batch")
@@ -309,7 +310,7 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closing {
 		return 0, ErrClosed
 	}
 	if l.err != nil {
@@ -329,19 +330,18 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	l.size += int64(len(buf))
 	l.appends += uint64(len(payloads))
 	l.bytes += uint64(len(buf))
-	switch {
-	case l.size >= l.cfg.SegmentBytes:
+	if l.size >= l.cfg.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.failLocked(err)
 			return 0, err
 		}
-	case l.cfg.FlushEvery <= 0:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
 	}
 	for l.syncedSeq < last && l.err == nil && !l.closed {
-		l.commit.Wait()
+		if l.syncing || l.closing {
+			l.commit.Wait()
+			continue
+		}
+		l.leadSyncLocked()
 	}
 	if l.err != nil {
 		return 0, l.err
@@ -352,36 +352,76 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	return first, nil
 }
 
-// syncLocked fsyncs the active segment and wakes the appenders it made
-// durable.
+// leadSyncLocked is the group-commit leader's step: it fsyncs the active
+// segment through everything written so far with l.mu released, then
+// publishes the new durable point and wakes the appenders it covers. A
+// failed fsync is sticky, so no waiter is acknowledged after it.
+func (l *Log) leadSyncLocked() {
+	l.syncing = true
+	target, f := l.lastSeq, l.f
+	l.mu.Unlock()
+	dur, err := l.fsync(f)
+	l.mu.Lock()
+	l.syncing = false
+	l.syncedLocked(target, dur, err)
+}
+
+// waitLeaderLocked waits out an in-flight leader's fsync, so the caller
+// may sync or close the active segment.
+func (l *Log) waitLeaderLocked() {
+	for l.syncing {
+		l.commit.Wait()
+	}
+}
+
+// syncLocked fsyncs the active segment with l.mu held, keeping appenders
+// out of a file that rotation or Close is about to retire. The caller
+// has waited out any leader.
 func (l *Log) syncLocked() error {
-	batch := l.lastSeq - l.syncedSeq
+	dur, err := l.fsync(l.f)
+	return l.syncedLocked(l.lastSeq, dur, err)
+}
+
+// fsync runs the slow-disk seam and one fsync of f, timing the fsync.
+func (l *Log) fsync(f *os.File) (time.Duration, error) {
 	if l.cfg.FsyncDelay != nil {
 		l.cfg.FsyncDelay()
 	}
-	var t0 time.Time
-	if l.fsyncDur != nil {
-		t0 = time.Now()
-	}
-	if err := l.f.Sync(); err != nil {
+	t0 := time.Now()
+	err := f.Sync()
+	return time.Since(t0), err
+}
+
+// syncedLocked records the outcome of an fsync that covered the log
+// through target and wakes every waiter. Nothing else moves syncedSeq
+// while a leader's fsync is in flight, so the records between it and
+// target are the ones this fsync made durable.
+func (l *Log) syncedLocked(target uint64, dur time.Duration, err error) error {
+	if err != nil {
 		l.failLocked(err)
 		return err
 	}
+	l.fsyncs++
 	if l.fsyncDur != nil {
-		l.fsyncDur.Observe(time.Since(t0).Seconds())
-		if batch > 0 {
-			l.fsyncBatch.Observe(float64(batch))
+		l.fsyncDur.Observe(dur.Seconds())
+		if target > l.syncedSeq {
+			l.fsyncBatch.Observe(float64(target - l.syncedSeq))
 		}
 	}
-	l.fsyncs++
-	l.syncedSeq = l.lastSeq
+	l.syncedSeq = max(l.syncedSeq, target)
 	l.commit.Broadcast()
 	return nil
 }
 
 // rotateLocked retires the active segment (fsync + close) and opens the
-// next one.
+// next one. It first waits out an in-flight leader; meanwhile another
+// appender may have rotated, or Close may have begun, so it rotates only
+// if the active segment is still over the threshold and the log open.
 func (l *Log) rotateLocked() error {
+	l.waitLeaderLocked()
+	if l.closing || l.err != nil || l.size < l.cfg.SegmentBytes {
+		return nil
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -397,26 +437,6 @@ func (l *Log) failLocked(err error) {
 		l.err = err
 	}
 	l.commit.Broadcast()
-}
-
-// flusher is the group-commit loop: one fsync per window covering every
-// append since the last.
-func (l *Log) flusher() {
-	defer close(l.flushDone)
-	ticker := time.NewTicker(l.cfg.FlushEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-ticker.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil && l.syncedSeq < l.lastSeq {
-				l.syncLocked() // error is sticky; appenders surface it
-			}
-			l.mu.Unlock()
-		}
-	}
 }
 
 // Replay streams every record with sequence number greater than `after`
@@ -511,28 +531,29 @@ func (l *Log) Counters() Counters {
 	}
 }
 
-// Close flushes outstanding appends and closes the log. Safe to call more
-// than once.
+// Close flushes outstanding appends and closes the log. Appends that
+// arrive once Close has begun get ErrClosed; appends already written
+// return once Close's final fsync covers them. Safe to call more than
+// once.
 func (l *Log) Close() error { return l.close(true) }
 
 // Crash abandons the log without the final flush — the test hook that
 // simulates a hard kill. Records whose AppendBatch already returned are
-// on disk (AppendBatch never returns before its fsync); anything
-// mid-flight is lost, exactly as a real crash would lose it.
+// on disk (AppendBatch never returns before its fsync); an append still
+// waiting for its fsync gets ErrClosed, exactly as a real crash would
+// lose it.
 func (l *Log) Crash() error { return l.close(false) }
 
+// close waits out an in-flight leader — the file must not close under
+// its fsync — then optionally flushes and closes the active segment.
 func (l *Log) close(flush bool) error {
-	l.stopOnce.Do(func() {
-		if l.flushStop != nil {
-			close(l.flushStop)
-			<-l.flushDone
-		}
-	})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closing {
 		return nil
 	}
+	l.closing = true
+	l.waitLeaderLocked()
 	if flush && l.err == nil && l.syncedSeq < l.lastSeq {
 		l.syncLocked()
 	}

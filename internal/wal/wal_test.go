@@ -7,12 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// openSync opens a synchronous log (every append fsyncs inline) — the
-// deterministic mode all the non-concurrency tests use.
+// openSync opens a log; an idle append fsyncs before it returns, so a
+// test running one appender at a time sees one fsync per append.
 func openSync(t *testing.T, dir string, mut ...func(*Config)) *Log {
 	t.Helper()
 	cfg := Config{Dir: dir}
@@ -221,7 +222,7 @@ func TestBitFlippedTailDropsOnlyLastRecord(t *testing.T) {
 
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l := openSync(t, dir, func(c *Config) { c.FlushEvery = time.Millisecond })
+	l := openSync(t, dir)
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -256,6 +257,210 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	seqs, _ := replayAll(t, l2, 0)
 	if len(seqs) != n {
 		t.Fatalf("replayed %d of %d concurrent appends", len(seqs), n)
+	}
+}
+
+// holdFirstFsync returns a FsyncDelay that parks the log's first fsync:
+// entered closes once it is parked, and the fsync proceeds when release
+// is closed. Later fsyncs run undelayed.
+func holdFirstFsync() (delay func(), entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	delay = func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	return delay, entered, release
+}
+
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldLeader opens a log whose first fsync is parked, appends one record
+// whose appender becomes the leader and parks in that fsync, then starts
+// n more appenders and waits until every one of them has written. It
+// returns the log, the leader's result, the others' results and the
+// parked fsync's release.
+func heldLeader(t *testing.T, dir string, n int, mut ...func(*Config)) (l *Log, leader, others chan error, release chan struct{}) {
+	t.Helper()
+	delay, entered, release := holdFirstFsync()
+	l = openSync(t, dir, append(mut, func(c *Config) { c.FsyncDelay = delay })...)
+	leader, others = make(chan error, 1), make(chan error, n)
+	go func() { _, err := appendOne(l, []byte("leader")); leader <- err }()
+	<-entered
+	for i := 0; i < n; i++ {
+		go func(i int) { _, err := appendOne(l, []byte(fmt.Sprintf("held-%03d", i))); others <- err }(i)
+	}
+	waitUntil(t, "every appender to write behind the held fsync", func() bool { return l.LastSeq() == uint64(n+1) })
+	select {
+	case err := <-others:
+		t.Fatalf("an append returned (%v) while the fsync that covers it was held", err)
+	case err := <-leader:
+		t.Fatalf("the leader returned (%v) before its fsync", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return l, leader, others, release
+}
+
+// closingForTest reports whether Close or Crash has begun.
+func (l *Log) closingForTest() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closing
+}
+
+// TestLeaderFsyncsWithMutexReleased holds the leader's fsync: 16 more
+// appenders still write (the mutex is free during the fsync), none of
+// them returns before a covering fsync, and once the fsync is released
+// every call returns within at most two more fsyncs.
+func TestLeaderFsyncsWithMutexReleased(t *testing.T) {
+	dir := t.TempDir()
+	const n = 16
+	l, leader, others, release := heldLeader(t, dir, n)
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-others; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.Counters().Fsyncs; got > 3 {
+		t.Errorf("17 appends behind one held fsync took %d fsyncs, want the held one and at most two more", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openSync(t, dir)
+	defer l2.Close()
+	if seqs, _ := replayAll(t, l2, 0); len(seqs) != n+1 {
+		t.Fatalf("replayed %d records, want %d", len(seqs), n+1)
+	}
+}
+
+// TestCloseWaitsOutLeader closes the log while the leader's fsync is
+// held: Close returns only after the leader finishes, its final fsync
+// covers every written append, and an append arriving once Close has
+// begun is refused.
+func TestCloseWaitsOutLeader(t *testing.T) {
+	dir := t.TempDir()
+	const n = 16
+	l, leader, others, release := heldLeader(t, dir, n)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	waitUntil(t, "Close to begin", l.closingForTest)
+	if _, err := appendOne(l, []byte("late")); !errors.Is(err, ErrClosed) {
+		t.Errorf("append after Close began = %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) under the leader's fsync", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-others; err != nil {
+			t.Errorf("append written before Close = %v, want nil", err)
+		}
+	}
+	l2 := openSync(t, dir)
+	defer l2.Close()
+	if seqs, _ := replayAll(t, l2, 0); len(seqs) != n+1 {
+		t.Fatalf("replayed %d records, want %d", len(seqs), n+1)
+	}
+}
+
+// TestCrashWaitsOutLeader crashes the log while the leader's fsync is
+// held: Crash returns only after the leader finishes, the appends that
+// fsync did not cover get ErrClosed, and every append that returned nil
+// replays.
+func TestCrashWaitsOutLeader(t *testing.T) {
+	dir := t.TempDir()
+	const n = 16
+	l, leader, others, release := heldLeader(t, dir, n)
+	crashed := make(chan error, 1)
+	go func() { crashed <- l.Crash() }()
+	waitUntil(t, "Crash to begin", l.closingForTest)
+	select {
+	case err := <-crashed:
+		t.Fatalf("Crash returned (%v) under the leader's fsync", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-crashed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatalf("the leader's own append = %v, want nil: its fsync completed", err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-others; !errors.Is(err, ErrClosed) {
+			t.Errorf("append the held fsync did not cover = %v, want ErrClosed", err)
+		}
+	}
+	l2 := openSync(t, dir)
+	defer l2.Close()
+	seqs, payloads := replayAll(t, l2, 0)
+	if len(seqs) == 0 || seqs[0] != 1 || string(payloads[0]) != "leader" {
+		t.Fatalf("the acknowledged append did not replay: seqs %v", seqs)
+	}
+}
+
+// TestRotationWaitsOutLeader crosses the segment threshold twice while
+// the leader's fsync is held: both crossing appenders wait, the log
+// rotates exactly once, and replay runs contiguously across the two
+// segments.
+func TestRotationWaitsOutLeader(t *testing.T) {
+	dir := t.TempDir()
+	// Frames are 16 + 8 bytes: the leader's 22-byte frame stays under the
+	// 60-byte threshold, the third frame crosses it and so does the
+	// fourth, written into the same segment while the first crossing
+	// appender waits.
+	l, leader, others, release := heldLeader(t, dir, 3, func(c *Config) { c.SegmentBytes = 60 })
+	if got := l.Counters().Segments; got != 1 {
+		t.Fatalf("rotated to %d segments under the leader's fsync", got)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := <-others; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.Counters().Segments; got != 2 {
+		t.Errorf("two crossing appends left %d segments, want exactly one rotation (2)", got)
+	}
+	if seq, err := appendOne(l, []byte("after")); err != nil || seq != 5 {
+		t.Fatalf("append after rotation = (%d, %v), want (5, nil)", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openSync(t, dir)
+	defer l2.Close()
+	seqs, _ := replayAll(t, l2, 0)
+	if len(seqs) != 5 || seqs[4] != 5 {
+		t.Fatalf("replay across the rotation = %v, want 1..5", seqs)
 	}
 }
 
